@@ -24,7 +24,7 @@ import os
 
 import pytest
 
-from conftest import BENCH_SIZE, dataset_rows
+from conftest import BENCH_SIZE, close_engine, dataset_rows
 
 from repro.core.schema import cust_ext_schema
 from repro.engine import DataQualityEngine
@@ -56,10 +56,11 @@ def test_fig10_repair_convergence(benchmark, strategy, base_workload):
     def run(engine):
         result = engine.repair(strategy=strategy, max_rounds=MAX_ROUNDS)
         outcome.update(result.trace, rounds=result.rounds, cells=result.cells_changed)
-        engine.close()
         return result
 
-    result = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    result = benchmark.pedantic(
+        run, setup=setup, teardown=close_engine, rounds=3, iterations=1
+    )
     assert result.clean
     if strategy == "incremental":
         # Zero full re-detections after the seeding scan — the property the

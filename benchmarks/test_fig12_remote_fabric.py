@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from conftest import BENCH_SIZE, dataset_rows, update_batch
+from conftest import BENCH_SIZE, close_engine, dataset_rows, update_batch
 
 from repro.core.schema import cust_ext_schema
 from repro.engine import DataQualityEngine
@@ -58,11 +58,12 @@ def test_fig12_remote_fabric_update(benchmark, workers, base_workload):
     def run(engine):
         result = engine.apply_update(batch)
         trace.update(engine.backend.last_update_trace or {})
-        engine.close()
         return result
 
     try:
-        result = benchmark.pedantic(run, setup=setup, rounds=2, iterations=1)
+        result = benchmark.pedantic(
+            run, setup=setup, teardown=close_engine, rounds=2, iterations=1
+        )
     finally:
         for handle in fleet:
             handle.stop()

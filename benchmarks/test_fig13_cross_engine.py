@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from conftest import BENCH_SIZE, dataset_rows, prepared_engine, sweep
+from conftest import BENCH_SIZE, close_engine, dataset_rows, prepared_engine, sweep
 
 from repro.detection.engines import duckdb_available
 
@@ -68,10 +68,11 @@ def test_fig13_cross_engine_batch_detect(benchmark, engine_name, size, base_work
         started = time.perf_counter()
         result = engine.detect()
         timings.append(time.perf_counter() - started)
-        engine.close()
         return result
 
-    result = benchmark.pedantic(run, setup=setup, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run, setup=setup, teardown=close_engine, rounds=1, iterations=1
+    )
     benchmark.extra_info["engine"] = engine_name
     benchmark.extra_info["tuples"] = size
     benchmark.extra_info["dirty"] = result.dirty_count
@@ -104,12 +105,13 @@ def test_fig13_duckdb_batch_detect(benchmark, base_workload):
         started = time.perf_counter()
         result = engine.detect()
         timings.append(time.perf_counter() - started)
-        engine.close()
         return result
 
     # Multiple rounds: this mean feeds the CI regression gate once a
     # duckdb-equipped runner regenerates the baseline.
-    result = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    result = benchmark.pedantic(
+        run, setup=setup, teardown=close_engine, rounds=3, iterations=1
+    )
     reference, sqlite_seconds = _timed_detect(rows, "batch", base_workload, rounds=3)
     duckdb_seconds = min(timings)
     assert result.violations == reference.violations

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from conftest import BENCH_SIZE, dataset_rows
+from conftest import BENCH_SIZE, close_engine, dataset_rows
 
 from repro.core.schema import cust_ext_schema
 from repro.engine import DataQualityEngine
@@ -51,12 +51,13 @@ def test_fig8_sharded_batch_detect_scaling(benchmark, workers, base_workload):
         result = engine.detect()
         if hasattr(engine.backend, "partition_stats"):
             partition_stats.update(engine.backend.partition_stats())
-        engine.close()
         return result
 
     # Multiple rounds: the workers=1 mean feeds the CI regression gate, and
     # a single ~50 ms sample on a shared runner is all noise.
-    result = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    result = benchmark.pedantic(
+        run, setup=setup, teardown=close_engine, rounds=3, iterations=1
+    )
     benchmark.extra_info["workers"] = workers
     benchmark.extra_info["tuples"] = BENCH_SIZE
     benchmark.extra_info["dirty"] = result.dirty_count
@@ -97,8 +98,7 @@ def test_fig8_sharded_exactness_and_speedup(base_workload):
     print(
         f"\nfig8: |D|={BENCH_SIZE}, cores={cores}: "
         f"1 worker {single_seconds:.3f}s, 4 workers {sharded_seconds:.3f}s, "
-        f"speedup {speedup:.2f}x, replication {stats['replication_factor']:.1f}x "
-        f"(clustered plan would ship {stats['clustered_replication_factor']:.1f}x), "
+        f"speedup {speedup:.2f}x, replication {stats['replication_factor']:.1f}x, "
         f"summary {stats['summary_bytes']} bytes in {stats['summary_groups']} groups"
     )
     if cores >= 4 and BENCH_SIZE >= SPEEDUP_ENFORCEMENT_SIZE:

@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from conftest import BENCH_SIZE, dataset_rows, update_batch
+from conftest import BENCH_SIZE, close_engine, dataset_rows, update_batch
 
 from repro.core.schema import cust_ext_schema
 from repro.engine import DataQualityEngine
@@ -55,11 +55,12 @@ def test_fig9_sharded_incremental_update(benchmark, workers, base_workload):
         update_trace = getattr(engine.backend, "last_update_trace", None)
         if update_trace:
             trace.update(update_trace)
-        engine.close()
         return result
 
     # Multiple rounds: the workers=1 mean feeds the CI regression gate.
-    result = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    result = benchmark.pedantic(
+        run, setup=setup, teardown=close_engine, rounds=3, iterations=1
+    )
     assert result.incremental, "the update must be maintained, not recomputed"
     benchmark.extra_info["workers"] = workers
     benchmark.extra_info["tuples"] = BENCH_SIZE

@@ -77,8 +77,7 @@ def main() -> None:
     plan = sharded.partition_stats()
     print(f"plan: key={plan['key']}, {plan['local_fragments']} local + "
           f"{plan['summary_fragments']} summary fragments, "
-          f"replication {plan['replication_factor']:.1f}x "
-          f"(clustered plan would ship {plan['clustered_replication_factor']:.1f}x), "
+          f"replication {plan['replication_factor']:.1f}x, "
           f"summary store {plan['summary_groups']} groups")
     sharded.close()
 

@@ -79,10 +79,11 @@ class DataQualityEngine:
         single-task pass), so ``engine.workers`` always reflects the actual
         parallelism.
     executor:
-        Pool kind for sharded detection: ``"process"`` (default),
-        ``"thread"``, ``"serial"`` or ``"remote"`` (shard lanes on
-        standalone worker processes over the RPC fabric — see
-        :class:`~repro.parallel.ShardedBackend`).  Ignored when
+        Where the sharded backend's stateful shard lanes run — the lanes
+        serve detection and updates alike: ``"process"`` (default, one
+        process per lane), ``"thread"``, ``"serial"`` (inline) or
+        ``"remote"`` (standalone worker processes over the RPC fabric —
+        see :class:`~repro.parallel.ShardedBackend`).  Ignored when
         ``workers=1`` unless ``backend="sharded"``.
     remote_workers:
         Worker fleet for ``executor="remote"``: a list of ``"host:port"``
@@ -531,8 +532,7 @@ class DataQualityEngine:
 
         Reports the primary hash ``key``, the local/summary fragment split,
         the ``replication_factor`` (1.0 under the single-pass plan — every
-        stored row ships to exactly one shard; ``clustered_replication_factor``
-        is what the old multi-pass plan would have shipped) and the group
+        stored row ships to exactly one shard) and the group
         count / wire bytes of the most recent cross-shard summary exchange.
         Only meaningful on sharded engines; other backends raise
         :class:`~repro.exceptions.EngineError`.

@@ -5,7 +5,9 @@ strategy names, figure and driver names, RPC op names, tracked-benchmark
 keys — because strings travel well over wires, CLIs, and JSON artifacts.
 The compensation is this checker:
 
-* no registry kind registers the same key twice;
+* no registry kind registers the same key twice, and no ``@rpc_op`` name
+  is declared twice (each op has one implementation; a second
+  declaration with a *conflicting* flag is RPL002's to report);
 * every experiment driver name resolves to a registered figure;
 * every ``TRACKED_BENCHMARKS`` key matches a benchmark function that
   actually exists and an ``EXTRA_INFO_FIELDS`` prefix;
@@ -62,6 +64,20 @@ def check_project(index: ProjectIndex) -> Iterator[Violation]:
                         f"duplicate {kind} registration {key!r} (first "
                         f"registered at {sites[0][0]}:{sites[0][1]})",
                     )
+
+    for name in sorted(index.rpc_ops):
+        decl = index.rpc_ops[name]
+        if len(decl.flags) == 1:
+            first_rel, first_line = decl.sites[0]
+            for rel, line in decl.sites[1:]:
+                yield Violation(
+                    CODE,
+                    rel,
+                    line,
+                    0,
+                    f"duplicate @rpc_op declaration {name!r} (first declared "
+                    f"at {first_rel}:{first_line}) — each op has one implementation",
+                )
 
     if index.has_figures and index.has_drivers:
         figures = set(index.registry_keys["figure"])

@@ -7,8 +7,9 @@
   cross-shard ``(cid, xv, yv-multiset)`` group summaries emitted by the
   detectors' ``fd_group_summary`` hooks;
 * :mod:`repro.parallel.sharded` — the ``"sharded"`` engine backend, which
-  fans any delegate detector out over shared-nothing shards in a process or
-  thread pool and merges per-shard flags and summaries exactly;
+  runs any delegate detector on shared-nothing shards held by stateful
+  lanes (inline, thread, process or remote) and merges per-shard flags and
+  summaries exactly, plus the one implementation of every shard op;
 * :mod:`repro.parallel.repair` — the ``"sharded"`` repair strategy: fix
   deltas routed through the partition plan to the owning shards' INCDETECT
   lanes, cross-shard embedded-FD group fixes elected directly from the
@@ -29,7 +30,6 @@ from repro.parallel.chaos import ChaosProxy, scripted_plan, start_proxies
 from repro.parallel.partition import (
     PartitionCluster,
     PartitionPlan,
-    cluster_replication_factor,
     extract_partition_plan,
     partition_rows,
     plan_partitions,
@@ -43,7 +43,7 @@ from repro.parallel.remote import (
     spawn_local_workers,
 )
 from repro.parallel.repair import ShardedRepairStrategy
-from repro.parallel.sharded import DEFAULT_EXECUTOR, ShardedBackend, detect_sharded
+from repro.parallel.sharded import DEFAULT_EXECUTOR, ShardedBackend
 from repro.parallel.summary import SummaryStore, summary_nbytes
 from repro.parallel.transport import RetryPolicy, RpcConnection
 
@@ -59,8 +59,6 @@ __all__ = [
     "ShardedBackend",
     "ShardedRepairStrategy",
     "SummaryStore",
-    "cluster_replication_factor",
-    "detect_sharded",
     "extract_partition_plan",
     "parse_address",
     "partition_rows",

@@ -49,7 +49,6 @@ __all__ = [
     "PartitionCluster",
     "PartitionPlan",
     "bucket_rows",
-    "cluster_replication_factor",
     "extract_partition_plan",
     "plan_partitions",
     "route_delta",
@@ -103,9 +102,7 @@ def extract_partition_plan(sigma: ECFDSet) -> list[PartitionCluster]:
     This is the *clustered* (multi-pass) plan: detection would replicate
     the relation once per cluster.  The sharded backend no longer executes
     it — :func:`plan_partitions` builds the single-pass summary-merge plan
-    instead — but the clustering still drives primary-key selection and the
-    before/after replication accounting
-    (:func:`cluster_replication_factor`).
+    instead — but the clustering still drives its primary-key selection.
     """
     fd_fragments: list[tuple[int, ECFD]] = []
     rider_fragments: list[tuple[int, ECFD]] = []
@@ -179,9 +176,7 @@ class PartitionPlan:
     def replication_factor(self) -> float:
         """Rows shipped to shards per stored row — 1.0 by construction.
 
-        The single hash pass sends every tuple to exactly one shard; the
-        pre-1.4 clustered plan replicated the relation once per LHS cluster
-        (see :func:`cluster_replication_factor` for that baseline).
+        The single hash pass sends every tuple to exactly one shard.
         """
         return 1.0
 
@@ -241,8 +236,7 @@ def plan_partitions(sigma: "ECFDSet | Sequence[ECFD]") -> PartitionPlan:
             plan.summary_fragments.append((cid, fragment))
 
     # Candidate keys come from the one greedy LHS-intersection clustering
-    # (:func:`extract_partition_plan` — also the replication baseline, so
-    # the two views can never drift); the primary key is the candidate
+    # (:func:`extract_partition_plan`); the primary key is the candidate
     # serving the most fragments locally (ties keep the earliest candidate
     # — deterministic for a given Σ).
     candidates = [
@@ -263,17 +257,6 @@ def plan_partitions(sigma: "ECFDSet | Sequence[ECFD]") -> PartitionPlan:
     plan.local_fragments.sort(key=lambda pair: pair[0])
     plan.summary_fragments.sort(key=lambda pair: pair[0])
     return plan
-
-
-def cluster_replication_factor(sigma: "ECFDSet | Sequence[ECFD]") -> float:
-    """Rows shipped per stored row under the *clustered* (pre-1.4) plan.
-
-    One full hash pass per LHS cluster — the replication the single-pass
-    summary-merge protocol removes.  Kept for before/after accounting in
-    the benchmarks and docs.
-    """
-    ecfds = sigma if isinstance(sigma, ECFDSet) else ECFDSet(list(sigma))
-    return float(max(1, len(extract_partition_plan(ecfds))))
 
 
 def route_delta(

@@ -1,8 +1,9 @@
 """Coordinator side of the remote shard fabric: worker pools and lanes.
 
 :class:`RemoteWorkerPool` gives :class:`~repro.parallel.ShardedBackend`'s
-``executor="remote"`` the same contract its in-host lanes have — submit a
-``(lane, task)`` pair, get back a result thunk — but over the network:
+``executor="remote"`` the same contract its in-host lanes have —
+``submit(lane, op, payload, retryable)`` returns a result thunk — but over
+the network:
 
 * every **lane** (shard index) owns one :class:`~repro.parallel.transport.RpcConnection`
   to the worker it is *pinned* to (``addresses[lane % len(addresses)]``
@@ -231,6 +232,9 @@ class RemoteWorkerPool:
         self.retry = retry or RetryPolicy()
         self._lane_prefix = lane_prefix or f"pool-{os.getpid()}-{next(_POOL_IDS)}"
         self._lane_addresses: dict[int, Address] = {}
+        #: Localhost workers this pool spawned (see :meth:`for_fleet`);
+        #: :meth:`close` stops them.  Empty for an external fleet.
+        self.owned_workers: list[LocalWorkerHandle] = []
         self._connections: dict[int, RpcConnection] = {}
         self._lane_locks: dict[int, asyncio.Lock] = {}
         self._closed = False
@@ -249,8 +253,28 @@ class RemoteWorkerPool:
         )
         self._thread.start()
 
+    @classmethod
+    def for_fleet(
+        cls,
+        remote_workers: "int | str | Iterable[str | Address] | None",
+        default_spawn: int,
+        rpc_timeout: float = 30.0,
+    ) -> "RemoteWorkerPool":
+        """A pool over the fleet ``remote_workers`` names.
+
+        Resolved by :func:`resolve_worker_addresses`.  Workers the
+        resolution says to spawn are started on localhost and *owned* by
+        the pool: :meth:`close` shuts them down, while an external fleet
+        is left running.
+        """
+        addresses, spawn = resolve_worker_addresses(remote_workers, default_spawn)
+        owned = spawn_local_workers(spawn) if spawn else []
+        pool = cls(addresses or [handle.address for handle in owned], rpc_timeout=rpc_timeout)
+        pool.owned_workers = owned
+        return pool
+
     # ------------------------------------------------------------------
-    # Submission (the lane-pool contract of ``_submit_to_lanes``)
+    # Submission (the lane contract shared with the in-host lanes)
     # ------------------------------------------------------------------
     def lane_id(self, lane: int) -> str:
         """The stable on-worker identity of lane ``lane``."""
@@ -405,9 +429,10 @@ class RemoteWorkerPool:
     # ------------------------------------------------------------------
     # Health / recovery (blocking wrappers used by the coordinator)
     # ------------------------------------------------------------------
-    def probe_addresses(self) -> dict[Address, bool]:
-        """Ping every distinct worker address; ``True`` means it answered."""
-        return asyncio.run_coroutine_threadsafe(self._probe_all(), self._loop).result()
+    def lost_lanes(self, lanes: Iterable[int]) -> set[int]:
+        """The lanes pinned to a worker that no longer answers a ping."""
+        health = asyncio.run_coroutine_threadsafe(self._probe_all(), self._loop).result()
+        return {lane for lane in lanes if not health.get(self.lane_address(lane), False)}
 
     def repin_lanes(self, lanes: Sequence[int]) -> dict[int, Address]:
         """Move ``lanes`` onto healthy workers; raises when none remains.
@@ -417,6 +442,11 @@ class RemoteWorkerPool:
         pinning of every moved lane.
         """
         return asyncio.run_coroutine_threadsafe(self._repin(lanes), self._loop).result()
+
+    def lane_label(self, lane: int) -> str:
+        """``"host:port"`` of the worker lane ``lane`` is pinned to."""
+        host, port = self.lane_address(lane)
+        return f"{host}:{port}"
 
     def lanes_by_address(self, lanes: Iterable[int]) -> dict[Address, list[int]]:
         """Group lanes by the worker endpoint they are currently pinned to.
@@ -461,9 +491,15 @@ class RemoteWorkerPool:
             await connection.close()
 
     def close(self) -> None:
-        """Close every connection and stop the pool's event loop."""
+        """Close every connection and stop the pool's event loop.
+
+        Workers the pool spawned (:attr:`owned_workers`) are asked to shut
+        down first and then stopped; external workers keep running.
+        """
         if self._closed:
             return
+        if self.owned_workers:
+            self.shutdown_workers()
         self._closed = True
         try:
             asyncio.run_coroutine_threadsafe(self._close_all(), self._loop).result(
@@ -474,6 +510,9 @@ class RemoteWorkerPool:
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10.0)
         self._loop.close()
+        for handle in self.owned_workers:
+            handle.stop()
+        self.owned_workers = []
 
     def __enter__(self) -> "RemoteWorkerPool":
         return self

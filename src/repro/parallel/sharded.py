@@ -1,9 +1,10 @@
-"""Sharded multi-core detection: any delegate backend, fanned out per shard.
+"""Sharded multi-core detection: any delegate backend, on stateful shard lanes.
 
 The paper's detectors (and their engine adapters) are single-threaded over
-the whole relation.  :class:`ShardedBackend` scales them out on one machine
-with a **single-pass** shared-nothing protocol — every stored tuple ships to
-exactly one shard (replication factor 1.0):
+the whole relation.  :class:`ShardedBackend` scales them out with a
+**single-pass** shared-nothing protocol — every stored tuple ships to
+exactly one shard (replication factor 1.0) — and one lane protocol for
+detection and updates alike:
 
 1. the constraint set is compiled into a partition plan
    (:func:`repro.parallel.partition.plan_partitions`): one primary hash key
@@ -14,31 +15,48 @@ exactly one shard (replication factor 1.0):
 2. the stored relation is hash-partitioned once into ``workers``
    shared-nothing shards (CRC32 of the key projection, round-robin by tid
    for a keyless plan);
-3. each non-empty shard becomes an independent task: a fresh delegate
-   backend (``naive`` / ``batch`` / ``incremental``) is built in the
-   worker and loaded with the shard.  The shard's Σ is the local fragments
-   plus the *pattern projections* of the summary fragments (identical SV
-   semantics, no embedded FD), so the delegate's ordinary ``detect()``
-   yields every single-tuple violation and the multi-tuple violations of
-   the local fragments.  For the summary fragments the delegate's
-   ``fd_group_summary`` hook emits compact
+3. each shard is *bootstrapped* on its own **stateful lane**: a fresh
+   delegate backend (``naive`` / ``batch`` / ``incremental``) is built in
+   the lane, loaded with the shard and kept there for later calls.  The
+   shard's Σ is the local fragments plus the *pattern projections* of the
+   summary fragments (identical SV semantics, no embedded FD), so the
+   delegate's ordinary ``detect()`` yields every single-tuple violation and
+   the multi-tuple violations of the local fragments.  For the summary
+   fragments the delegate's ``fd_group_summary`` hook emits compact
    ``(cid, xv) → (yv multiset, witness tids)`` group summaries
-   (:mod:`repro.detection.summaries`) — aggregated groups, never raw rows.
-   The task carries the delegate's resolved *factory*, not its registry
-   name, so runtime-registered delegates work even under ``spawn`` start
-   methods;
+   (:mod:`repro.detection.summaries`) — aggregated groups, never raw rows —
+   which the lane *holds* until one ``reduce_summaries`` call per host
+   claims them.  The task carries the delegate's resolved *factory*, not
+   its registry name, so runtime-registered delegates work in any lane;
 4. per-shard violation sets are remapped to the global constraint
-   identifiers and merged, and the per-shard summaries are folded into a
+   identifiers and merged, and the claimed summaries are folded into a
    :class:`repro.parallel.summary.SummaryStore` whose merged groups
    materialise the cross-shard multi-tuple violations.  Shards partition
    the relation and every (tuple, fragment) pair is examined exactly once,
    so the result is identical to a single-threaded whole-relation pass.
 
-Tasks run in a :mod:`concurrent.futures` pool.  ``executor="process"``
-(default) sidesteps the GIL and suits the pure-Python and SQLite delegates
-alike; ``"thread"`` avoids pickling overhead and still overlaps SQLite's
-C-level work; ``"serial"`` runs the same sharded code path inline, which the
-tests use to pin down partitioning semantics independent of pool behaviour.
+Lanes and shard ops
+-------------------
+Every shard op (``bootstrap``, ``update``, ``breakdown``, ``state_stats``,
+``drop``, ``full_summary``, ``reduce_summaries``) is implemented once, in
+this module, and declared with :func:`~repro.parallel.transport.rpc_op`;
+the registry records its handler and its retry contract.  A *lane* is
+anything with a ``submit(lane, op, payload, retryable)`` method returning a
+result thunk, with calls on one lane running in submission order:
+
+* in-host lanes (``executor="serial"`` / ``"thread"`` / ``"process"``) run
+  the registered handler inline, or on a single-worker thread or process
+  executor pinned to the shard, so a shard's state always lives where its
+  tasks run;
+* ``executor="remote"`` lanes are pinned connections of a
+  :class:`~repro.parallel.remote.RemoteWorkerPool` to standalone worker
+  processes (``python -m repro.parallel.worker``), which dispatch the op
+  name to the *same* registered handler.
+
+A lane lost mid-call (a dead worker, a severed connection, a broken
+process executor) surfaces as :class:`~repro.exceptions.LaneFailedError`;
+the coordinator re-pins the lost lanes and rebuilds only their shards from
+its own storage — during a bootstrap and during an update alike.
 
 Incremental updates (sharded INCDETECT)
 ---------------------------------------
@@ -51,43 +69,39 @@ on the function itself, or the sharded backend (which cannot afford to
 construct a probe instance) conservatively falls back to recompute-on-update.
 The maintained protocol:
 
-1. on the first update (or an explicit ``ensure_ready()``) every shard is
-   *bootstrapped*: a persistent per-shard delegate — an INCDETECT state
-   holding the shard's rows, SV/MV flags, Aux(D) and macro rows — is built
-   inside a **stateful shard lane** and kept alive between calls, and its
-   full group summary seeds the coordinator's summary store.  A lane is a
-   single-worker executor pinned to a shard, so a shard's state always
-   lives where its tasks run;
-2. each update ΔD is routed through the *same* single-pass plan as
-   detection (:func:`repro.parallel.partition.route_delta`): deleted tuples
-   are resolved to their stored values and hashed to the one shard that
-   holds them, inserted tuples get coordinator-assigned global tids and
-   hash the same way.  Only the touched shards receive a task; every other
-   shard does no work at all — per-shard cost is proportional to the routed
-   delta, not to |D|;
+1. the shard states bootstrapped by ``detect()``, ``ensure_ready()`` or the
+   first update are the INCDETECT states (rows, SV/MV flags, Aux(D), macro
+   rows) the updates maintain — a ``detect()`` followed by updates builds
+   each shard once;
+2. each update ΔD is routed through the *same* single-pass plan
+   (:func:`repro.parallel.partition.route_delta`): deleted tuples are
+   resolved to their stored values and hashed to the one shard that holds
+   them, inserted tuples get coordinator-assigned global tids and hash the
+   same way.  Only the touched shards receive a task — per-shard cost is
+   proportional to the routed delta, not to |D|;
 3. each touched shard applies its slice of ΔD with INCDETECT (shard-local
    ``delete_tuples`` / ``insert_tuples`` with pinned global tids), whose
-   violation readback is itself a *flag delta* — probes bounded by the
-   shard's maintained violation set — and emits the slice's **summary
-   delta** (the delegate's
-   ``fd_summary_delta`` hook, matching with the same semantics as its full
-   bootstrap summary) for the summary fragments — signed yv-count and
+   violation readback is itself a *flag delta*, and emits the slice's
+   **summary delta** (the delegate's ``fd_summary_delta`` hook, with the
+   same matching semantics as its bootstrap summary) — signed yv-count and
    witness changes, bounded by |ΔD|;
 4. the coordinator swaps the touched shards' flag contributions into its
    per-shard violation cache, folds the summary deltas into the summary
    store, and re-merges — an exact replacement merge, so the result is
    identical to a single-threaded INCDETECT pass over the whole relation.
 
-After updates, ``detect()`` reads the live merged state instead of
-re-fanning out one-shot tasks (``full_detect_count`` stays put — the
-"no hidden recompute" guarantee now covers the read path too).
+With live states ``detect()`` reads the merged state; only a ``detect()``
+that has to bootstrap counts in ``full_detect_count``.  A delegate without
+incremental support (``naive`` / ``batch``) has nothing to maintain, so its
+shard states are dropped as soon as the call that built them has read them
+and every ``detect()`` is a fresh bootstrap.
 
-``workers=1`` keeps the plain single-state path (one INCDETECT state over
-the whole Σ and relation — byte-for-byte the delegate's own behaviour), and
-the :class:`~repro.engine.DataQualityEngine` does not even interpose the
+``workers=1`` keeps the plain single-state path (one state over the whole
+Σ and relation — byte-for-byte the delegate's own behaviour), and the
+:class:`~repro.engine.DataQualityEngine` does not even interpose the
 sharding layer at ``workers=1`` unless ``backend="sharded"`` is explicit.
 Out-of-band storage mutations (``load_rows`` / ``apply_delta`` / ``clear``)
-invalidate the shard states; the next update bootstraps afresh.
+drop the shard states; the next call bootstraps afresh.
 
 The backend registers itself as ``"sharded"`` in the engine registry; the
 :class:`~repro.engine.DataQualityEngine` routes through it automatically
@@ -97,15 +111,22 @@ when constructed with ``workers > 1``.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from itertools import count as _counter
+from typing import Any
 
 from repro.core.ecfd import ECFD, ECFDSet
 from repro.core.instance import Relation
 from repro.core.schema import RelationSchema, Value
 from repro.core.violations import MultiTupleViolation, SingleTupleViolation, ViolationSet
-from repro.detection.summaries import Summary, SummaryDelta
+from repro.detection.summaries import Summary, SummaryDelta, merge_summaries
 from repro.engine.backends import (
     DetectorBackend,
     InMemoryRelationBackend,
@@ -113,38 +134,16 @@ from repro.engine.backends import (
     resolve_backend_factory,
 )
 from repro.exceptions import EngineError, FabricError, LaneFailedError
-from repro.parallel.partition import (
-    PartitionPlan,
-    bucket_rows,
-    cluster_replication_factor,
-    plan_partitions,
-    route_delta,
-)
-from repro.parallel.remote import (
-    RemoteWorkerPool,
-    resolve_worker_addresses,
-    spawn_local_workers,
-)
+from repro.parallel.partition import PartitionPlan, bucket_rows, plan_partitions, route_delta
+from repro.parallel.remote import RemoteWorkerPool
 from repro.parallel.summary import SummaryStore, summary_nbytes
-from repro.parallel.transport import is_idempotent, rpc_op
+from repro.parallel.transport import is_idempotent, op_spec, rpc_op
 
-__all__ = ["ShardedBackend", "DEFAULT_EXECUTOR", "detect_sharded"]
+__all__ = ["ShardedBackend", "DEFAULT_EXECUTOR"]
 
 #: Executor kinds accepted by the backend.
 _EXECUTORS = ("process", "thread", "serial", "remote")
 DEFAULT_EXECUTOR = "process"
-
-#: One unit of work: (schema, delegate factory,
-#: [(global_cid, fragment)] evaluated natively, [(global_cid, fragment)]
-#: summarised, rows, want_breakdown).
-_ShardTask = tuple[
-    RelationSchema,
-    Callable[..., DetectorBackend],
-    list[tuple[int, ECFD]],
-    list[tuple[int, ECFD]],
-    list[tuple[int, dict[str, str]]],
-    bool,
-]
 
 
 def _remap_cids(violations: ViolationSet, mapping: Mapping[int, int]) -> ViolationSet:
@@ -191,49 +190,15 @@ def _load_shard(
         backend.load_relation(shard)
 
 
-@rpc_op("detect_shard", idempotent=True)
-def _detect_shard(
-    task: _ShardTask,
-) -> tuple[ViolationSet, dict[int, dict[str, int]], Summary]:
-    """Run one delegate backend over one shard (executes inside a worker).
-
-    Stateless — the delegate is built, run and discarded — hence declared
-    idempotent: a retry after an ambiguous transport failure re-runs the
-    same pure computation.  Returns the shard's violation set (keyed by
-    global constraint identifiers), its per-constraint breakdown (empty
-    unless requested — for the SQL delegates it costs an extra grouped
-    ``Q_sv`` pass) and its group summaries for the summary fragments.
-    """
-    schema, factory, fragments, summary_fragments, rows, want_breakdown = task
-    local_sigma = ECFDSet([fragment for _, fragment in fragments])
-    # Single-pattern fragments normalize 1:1 in order, so the delegate's
-    # local CIDs are simply 1..k over the fragment list.
-    mapping = {local: cid for local, (cid, _) in enumerate(fragments, start=1)}
-
-    backend = factory(schema=schema, sigma=local_sigma, path=":memory:")
-    try:
-        _load_shard(backend, schema, rows)
-        violations = backend.detect()
-        breakdown = backend.breakdown() if want_breakdown else {}
-        summary = backend.fd_group_summary(summary_fragments) if summary_fragments else {}
-    finally:
-        backend.close()
-    return (
-        _remap_cids(violations, mapping),
-        {mapping.get(cid, cid): dict(stats) for cid, stats in breakdown.items()},
-        summary,
-    )
-
-
 # ----------------------------------------------------------------------
-# Stateful shard workers (sharded INCDETECT)
+# Shard ops (each runs inside the shard's lane)
 # ----------------------------------------------------------------------
 #: Persistent per-shard delegate states, keyed by a coordinator-chosen
 #: namespace.  The dict lives wherever the shard's lane runs its tasks: in
-#: each lane *process* for ``executor="process"`` (every worker process has
-#: its own copy of this module), in the parent process for ``"thread"`` and
-#: ``"serial"``.  Keys embed the coordinating backend's namespace, so
-#: backends sharing one process never collide.
+#: each lane *process* for ``executor="process"`` and on remote workers
+#: (every process has its own copy of this module), in the coordinator's
+#: process for ``"thread"`` and ``"serial"``.  Keys embed the coordinating
+#: backend's namespace, so backends sharing one process never collide.
 _SHARD_STATES: dict[str, "_ShardState"] = {}
 
 #: Monotonic namespace source for shard-state keys (unique per process).
@@ -241,9 +206,10 @@ _STATE_NAMESPACES = _counter(1)
 
 
 class _ShardState:
-    """One live shard: its delegate backend, CID map and summary fragments."""
+    """One live shard: its delegate, CID map, summary fragments and the
+    full group summary held for the next ``reduce_summaries`` claim."""
 
-    __slots__ = ("backend", "mapping", "summary_fragments")
+    __slots__ = ("backend", "mapping", "summary_fragments", "held_summary")
 
     def __init__(
         self,
@@ -254,6 +220,14 @@ class _ShardState:
         self.backend = backend
         self.mapping = mapping
         self.summary_fragments = summary_fragments
+        self.held_summary: Summary | None = None
+
+    def hold_full_summary(self) -> None:
+        self.held_summary = (
+            self.backend.fd_group_summary(self.summary_fragments)
+            if self.summary_fragments
+            else {}
+        )
 
 
 #: Bootstrap work unit: (state key, schema, delegate factory,
@@ -279,36 +253,39 @@ _UpdateTask = tuple[
 
 
 @rpc_op("bootstrap", idempotent=True)
-def _shard_bootstrap(task: _BootstrapTask) -> tuple[str, ViolationSet, Summary]:
-    """Build one persistent shard state (runs inside the shard's lane).
+def _shard_bootstrap(task: _BootstrapTask) -> tuple[str, ViolationSet]:
+    """Build one persistent shard state.
 
     Loads the shard rows with their *global* tids, initialises the
     delegate's maintained state (for INCDETECT: the batch pass computing
-    flags, Aux(D) and macro rows) and parks the live backend in
-    :data:`_SHARD_STATES` for later :func:`_shard_update` calls.  Declared
-    idempotent because a re-run *overwrites*: any previous state at the
-    key is dropped before the rebuild, so a retry after an ambiguous
-    failure lands on the same state.  Returns the shard's violation set on
-    global constraint identifiers together with its full group summary,
-    which seeds the coordinator's store.
+    flags, Aux(D) and macro rows), parks the live backend in
+    :data:`_SHARD_STATES` and holds its full group summary for the reduce
+    stage.  Declared idempotent because a re-run *overwrites*: any previous
+    state at the key is dropped before the rebuild, so a retry after an
+    ambiguous failure lands on the same state.  Returns the shard's
+    violation set on global constraint identifiers.
     """
     key, schema, factory, fragments, summary_fragments, rows = task
+    _shard_drop(key)
     local_sigma = ECFDSet([fragment for _, fragment in fragments])
+    # Single-pattern fragments normalize 1:1 in order, so the delegate's
+    # local CIDs are simply 1..k over the fragment list.
     mapping = {local: cid for local, (cid, _) in enumerate(fragments, start=1)}
 
     backend = factory(schema=schema, sigma=local_sigma, path=":memory:")
     _load_shard(backend, schema, rows)
     backend.ensure_ready()
-    summary = backend.fd_group_summary(summary_fragments) if summary_fragments else {}
-    _SHARD_STATES[key] = _ShardState(backend, mapping, list(summary_fragments))
-    return key, _remap_cids(backend.detect(), mapping), summary
+    state = _ShardState(backend, mapping, list(summary_fragments))
+    state.hold_full_summary()
+    _SHARD_STATES[key] = state
+    return key, _remap_cids(backend.detect(), mapping)
 
 
 @rpc_op("update", idempotent=False)
 def _shard_update(
     task: _UpdateTask,
 ) -> tuple[str, ViolationSet, SummaryDelta, dict | None]:
-    """Apply one routed delta to a live shard state (runs inside its lane).
+    """Apply one routed delta to a live shard state.
 
     Declared **non-idempotent**: a reply lost after execution would
     double-apply the delta on a blind retry, so this op is never retried —
@@ -341,31 +318,29 @@ def _shard_update(
 
 
 @rpc_op("breakdown", idempotent=True)
-def _shard_breakdown(key: str) -> tuple[str, dict[int, dict[str, int]]]:
+def _shard_breakdown(key: str) -> dict[int, dict[str, int]]:
     """Read one live shard's per-constraint statistics on global CIDs.
 
-    Computed from the shard's *maintained* state (Aux(D), macro rows, plus
-    the delegate's grouped ``Q_sv`` pass over the shard) — cost is bounded
-    by the shard, never by a whole-relation re-detection.  Summary
-    fragments contribute their SV statistics here (their pattern projection
-    is part of the shard's Σ); their MV statistics come from the
+    Computed from the shard's state (for the SQL delegates a grouped
+    ``Q_sv`` pass over the shard plus the maintained Aux(D) / macro rows) —
+    cost is bounded by the shard, never by a whole-relation re-detection.
+    Summary fragments contribute their SV statistics here (their pattern
+    projection is part of the shard's Σ); their MV statistics come from the
     coordinator's summary store.
     """
     state = _SHARD_STATES[key]
     breakdown = state.backend.breakdown()
-    return key, {
-        state.mapping.get(cid, cid): dict(stats) for cid, stats in breakdown.items()
-    }
+    return {state.mapping.get(cid, cid): dict(stats) for cid, stats in breakdown.items()}
 
 
 @rpc_op("state_stats", idempotent=True)
-def _shard_state_stats(key: str) -> tuple[str, dict[str, int]]:
+def _shard_state_stats(key: str) -> dict[str, int]:
     """Read one live shard's state statistics (tuples, Aux(D), macro rows)."""
     state = _SHARD_STATES[key]
     stats = getattr(state.backend, "state_stats", None)
     if stats is not None:
-        return key, dict(stats())
-    return key, {"tuples": state.backend.count()}
+        return dict(stats())
+    return {"tuples": state.backend.count()}
 
 
 @rpc_op("drop", idempotent=True)
@@ -378,54 +353,139 @@ def _shard_drop(key: str) -> str:
 
 
 @rpc_op("full_summary", idempotent=True)
-def _shard_full_summary(key: str) -> tuple[str, Summary]:
+def _shard_full_summary(key: str) -> str:
     """Re-emit one live shard's current full group summary (recovery path).
 
     Read-only over the maintained state, hence declared idempotent — safe
-    to retry over a reconnect.  On a remote worker the summary is *held*
-    for the follow-up reduce instead of being returned (see
-    :mod:`repro.parallel.worker`).
+    to retry over a reconnect.  The summary is *held* for the follow-up
+    ``reduce_summaries`` claim, exactly like a bootstrap's.
     """
-    state = _SHARD_STATES[key]
-    summary = (
-        state.backend.fd_group_summary(state.summary_fragments)
-        if state.summary_fragments
-        else {}
-    )
-    return key, summary
+    _SHARD_STATES[key].hold_full_summary()
+    return key
 
 
-#: Remote fabric dispatch: the shard functions above, named as worker ops.
-#: Derived from the functions' ``@rpc_op`` declarations — the registry in
-#: :mod:`repro.parallel.transport` is the single source of truth for op
-#: names *and* idempotency, so whether a call may be retried is a declared,
-#: machine-checked fact (``is_idempotent``) instead of a hand-kept set.
-#: The remote executor sends the op name and the *same* task payload the
-#: in-host lanes pass positionally; :mod:`repro.parallel.worker` routes it
-#: back to the identical function on the worker's copy of this module.
-_REMOTE_OPS: dict[Callable, str] = {
-    fn: fn.__rpc_op__.name
-    for fn in (
-        _detect_shard,
-        _shard_bootstrap,
-        _shard_update,
-        _shard_breakdown,
-        _shard_state_stats,
-        _shard_drop,
-        _shard_full_summary,
-    )
-}
+@rpc_op("reduce_summaries", idempotent=False)
+def _reduce_summaries(keys: Sequence[str]) -> Summary:
+    """Claim the held summaries of ``keys`` (states in this process), merged.
+
+    The reduce stage: a remote worker hosting several lanes merges their
+    summaries (:func:`repro.detection.summaries.merge_summaries`) and ships
+    one partial, so an ``O(|shard|)`` empty-LHS summary crosses the network
+    once per *worker*, not once per shard.  A single held summary is
+    returned as is — nothing to merge, no copy.  Declared non-idempotent
+    because a claim *releases* what it returns.
+    """
+    parts = []
+    for key in keys:
+        state = _SHARD_STATES.get(key)
+        if state is not None and state.held_summary is not None:
+            parts.append(state.held_summary)
+            state.held_summary = None
+    return parts[0] if len(parts) == 1 else merge_summaries(parts)
+
+
+class _InHostLanes:
+    """Shard lanes inside this host: inline, or one pinned executor per lane.
+
+    Speaks the :class:`~repro.parallel.remote.RemoteWorkerPool` contract:
+    :meth:`submit` resolves ``op`` to the handler the
+    :func:`~repro.parallel.transport.rpc_op` registry recorded and returns
+    a result thunk; calls on one lane run in submission order, so a caller
+    may submit several waves back to back and collect once (the pipelining
+    primitive).  ``pool_class=None`` runs every call inline at submission
+    (the degenerate pipeline; states live in this process) and, like a
+    pooled lane, delivers its outcome — result or exception — at collect.
+    Otherwise each lane is a single-worker thread or process executor
+    created on first use and kept until :meth:`close`, so the states it
+    holds survive between calls.  A process lane that dies surfaces as
+    :class:`~repro.exceptions.LaneFailedError`, and :meth:`repin_lanes`
+    replaces its executor.  In-host calls cross no transport, so
+    ``retryable`` changes nothing here.
+    """
+
+    def __init__(self, pool_class: type[Executor] | None):
+        self._pool_class = pool_class
+        self._executors: dict[int, Executor] = {}
+
+    def submit(
+        self, lane: int, op: str, payload: Any, retryable: bool = False
+    ) -> Callable[[], Any]:
+        handler = op_spec(op).handler
+        future: Future[Any] = Future()
+        try:
+            if self._pool_class is None:
+                future.set_result(handler(payload))
+            else:
+                executor = self._executors.get(lane)
+                if executor is None:
+                    executor = self._executors[lane] = self._pool_class(max_workers=1)
+                future = executor.submit(handler, payload)
+        except Exception as exc:  # noqa: BLE001 - delivered at collect, like a pooled lane's failure
+            future.set_exception(exc)
+
+        def collect() -> Any:
+            try:
+                return future.result()
+            except BrokenExecutor as exc:
+                raise LaneFailedError(
+                    f"in-host lane {lane} died during {op!r}: {exc}", lane=lane
+                ) from exc
+
+        return collect
+
+    def lost_lanes(self, lanes: Iterable[int]) -> set[int]:
+        """Lanes lost beyond the ones that failed a call: none in-host."""
+        return set()
+
+    def repin_lanes(self, lanes: Sequence[int]) -> None:
+        """Give ``lanes`` fresh executors (their states died with the old ones)."""
+        for lane in lanes:
+            executor = self._executors.pop(lane, None)
+            if executor is not None:
+                executor.shutdown(wait=False)
+
+    def lanes_by_address(self, lanes: Iterable[int]) -> dict[int, list[int]]:
+        """Every lane is its own host: one summary claim per lane."""
+        return {lane: [lane] for lane in lanes}
+
+    def lane_label(self, lane: int) -> None:
+        """In-host lanes have no network address."""
+        return None
+
+    def transport_stats(self) -> None:
+        return None
+
+    def close(self) -> None:
+        for executor in self._executors.values():
+            executor.shutdown()
+        self._executors.clear()
+
+
+def _gather(pending: Iterable[Callable[[], Any]]) -> tuple[list, set[int]]:
+    """Collect every result thunk; returns ``(results, lanes that were lost)``.
+
+    Operation failures propagate; lane losses are gathered so the caller
+    can recover them all at once after the barrier.
+    """
+    results = []
+    lost: set[int] = set()
+    for collect in pending:
+        try:
+            results.append(collect())
+        except LaneFailedError as exc:
+            lost.add(exc.lane)
+    return results, lost
 
 
 class ShardedBackend(InMemoryRelationBackend):
     """Shared-nothing sharded detection over a pluggable delegate backend.
 
-    Storage lives in the in-memory relation of the shared base class; every
-    ``detect()`` partitions it once according to the single-pass plan and
-    fans the shards out as one-shot tasks, merging flag sets and group
-    summaries exactly.  With an incremental-capable delegate the backend
+    Storage lives in the in-memory relation of the shared base class.  The
+    first ``detect()`` partitions it once according to the single-pass plan
+    and bootstraps one delegate state per shard on its lane, merging flag
+    sets and group summaries exactly.  With an incremental-capable delegate
+    the states persist, later reads serve the merged state, and the backend
     additionally supports :meth:`incremental_update` (sharded INCDETECT):
-    persistent per-shard delegate states live in stateful shard *lanes*,
     each update only touches the shards its routed delta lands on, and the
     coordinator's summary store absorbs the lanes' summary deltas — see the
     module docstring for the full protocol.
@@ -433,7 +493,7 @@ class ShardedBackend(InMemoryRelationBackend):
     Parameters
     ----------
     schema / sigma / path:
-        As for every backend; shard databases are always per-worker and
+        As for every backend; shard databases are always per-lane and
         in-memory, so a file-backed ``path`` is rejected rather than
         silently dropped — callers wanting on-disk persistence need a
         single-threaded SQL backend.
@@ -446,19 +506,21 @@ class ShardedBackend(InMemoryRelationBackend):
         route ``apply_update`` through sharded INCDETECT while ``"naive"``
         / ``"batch"`` keep the recompute fallback.
     workers:
-        Number of shards and pool size; defaults to the machine's CPU
+        Number of shards (one lane each); defaults to the machine's CPU
         count.
     executor:
-        ``"process"`` (default), ``"thread"``, ``"serial"`` or
-        ``"remote"``.  The remote executor runs every shard lane on a
-        standalone worker process (``python -m repro.parallel.worker``)
-        over the length-prefixed RPC transport; lanes are *pinned* to
-        workers so INCDETECT shard state survives across calls, and on a
-        worker death or call timeout the coordinator re-pins the lost
-        lanes and re-bootstraps **only their shards** from its own storage
-        (never a hidden full re-detection — ``full_detect_count`` stays
-        put).  Bootstrap summaries are merged worker-side by a reduce
-        stage before they cross the network, one partial per worker.
+        Where the shard lanes run: ``"process"`` (default — one
+        single-worker process per lane, sidestepping the GIL),
+        ``"thread"`` (one thread per lane, no pickling, still overlapping
+        SQLite's C-level work), ``"serial"`` (inline in the caller, which
+        the tests use to pin down partitioning semantics) or ``"remote"``
+        (lanes pinned to standalone worker processes, ``python -m
+        repro.parallel.worker``, over the length-prefixed RPC transport).
+        On a lost lane the coordinator re-pins it and re-bootstraps **only
+        its shard** from its own storage (never a hidden full re-detection
+        — ``full_detect_count`` stays put).  Remote bootstrap summaries
+        are merged worker-side by a reduce stage before they cross the
+        network, one partial per worker.
     remote_workers:
         Remote-executor worker fleet (ignored otherwise): a list of
         ``"host:port"`` addresses (or ``(host, port)`` pairs) naming
@@ -487,10 +549,10 @@ class ShardedBackend(InMemoryRelationBackend):
         ``bootstrap`` (whether this call built the shard states).  ``None``
         until the first incremental update.
     full_detect_count:
-        Number of full sharded detection passes run so far — the
-        "no hidden recompute" counter the incremental tests assert on.
-        ``detect()`` with live shard states serves the merged maintained
-        state and leaves this counter untouched.
+        Number of ``detect()`` calls that had to bootstrap the shard
+        states — the "no hidden recompute" counter the incremental tests
+        assert on.  ``detect()`` with live shard states serves the merged
+        maintained state and leaves this counter untouched.
     """
 
     name = "sharded"
@@ -537,19 +599,13 @@ class ShardedBackend(InMemoryRelationBackend):
             raise EngineError(f"workers must be >= 1, got {self.workers}")
         self.executor = executor
         self._plan: PartitionPlan = plan_partitions(self.sigma)
-        # Σ is fixed for the backend's lifetime, so the old clustered plan's
-        # replication baseline is a constant — computed once, not per
-        # partition_stats() call (the benchmarks read stats inside timed
-        # regions).
-        self._clustered_replication = cluster_replication_factor(self.sigma)
-        self._pool: Executor | None = None
         self._last_violations: ViolationSet | None = None
         self._last_breakdown: dict[int, dict[str, int]] | None = None
         #: Wire size / group counts of the most recent summary exchange
-        #: (one-shot detection or shard bootstrap), for partition_stats().
+        #: (shard bootstrap or update deltas), for partition_stats().
         self._summary_trace: dict = {"groups": 0, "bytes": 0, "witnesses": 0}
-        # --- stateful shard lanes (sharded INCDETECT) ---
-        self._lanes: list[Executor] | None = None
+        #: The shard lanes (in-host or remote), built on first use.
+        self._lanes: _InHostLanes | RemoteWorkerPool | None = None
         self._states_live = False
         #: shard_index -> state key, for every live shard state.  Lanes
         #: are 1:1 with shards under the single-pass plan: shard *i*'s
@@ -562,13 +618,8 @@ class ShardedBackend(InMemoryRelationBackend):
         self._summary_store = SummaryStore()
         self.last_update_trace: dict | None = None
         self.full_detect_count = 0
-        # --- remote fabric (executor="remote") ---
         self._remote_workers = remote_workers
         self._rpc_timeout = rpc_timeout
-        self._remote_pool: RemoteWorkerPool | None = None
-        #: Localhost workers this backend spawned (and must stop); empty
-        #: when the fleet is external.
-        self._owned_workers: list = []
         #: Recovery epoch embedded in state keys: re-bootstrapped shards get
         #: fresh keys, so a straggling reply addressed to a lost state can
         #: never be mistaken for the recovered one.
@@ -578,484 +629,261 @@ class ShardedBackend(InMemoryRelationBackend):
     def _on_mutation(self) -> None:
         self._last_violations = None
         self._last_breakdown = None
-        # Out-of-band storage changes invalidate the maintained per-shard
-        # INCDETECT states; the next incremental update bootstraps afresh.
+        # Out-of-band storage changes invalidate the per-shard states; the
+        # next read or update bootstraps afresh.
         self._invalidate_shard_states()
 
     # ------------------------------------------------------------------
     # Detection
     # ------------------------------------------------------------------
-    def _build_tasks(self, want_breakdown: bool) -> list[_ShardTask]:
-        # Materialise every stored tuple once; values are already text
-        # (every ingestion path stringifies), so this is a plain dict copy.
-        rows = [
-            (t.tid, t.as_dict())
-            for t in self._relation.tuples()
-            if t.tid is not None
-        ]
-        factory = self._delegate_factory
-        if self.workers <= 1:
-            # One shard, whole Σ — byte-for-byte the delegate's own pass.
-            return [
-                (self.schema, factory, list(self.sigma.normalize()), [], rows, want_breakdown)
-            ]
-        fragments = self._plan.shard_fragments()
-        if not fragments:
-            return []
-        tasks: list[_ShardTask] = []
-        for shard in bucket_rows(rows, self._plan.key, self.workers):
-            if shard:
-                tasks.append(
-                    (
-                        self.schema,
-                        factory,
-                        fragments,
-                        self._plan.summary_fragments,
-                        shard,
-                        want_breakdown,
-                    )
-                )
-        return tasks
-
-    def _ensure_pool(self, task_count: int) -> Executor | None:
-        """The reusable worker pool (``None`` for serial / single-task runs).
-
-        Pool start-up (forking or spawning up to ``workers`` processes) is a
-        fixed cost worth paying once, not once per detection, so the pool is
-        created lazily and kept alive until :meth:`close`.
-        """
-        if self.executor == "serial" or min(self.workers, task_count) <= 1:
-            return None
-        if self._pool is None:
-            pool_class = ThreadPoolExecutor if self.executor == "thread" else ProcessPoolExecutor
-            self._pool = pool_class(max_workers=self.workers)
-        return self._pool
-
     def detect(self) -> ViolationSet:
-        if self._states_live and self._last_violations is not None:
-            # The shard states maintain vio(D) exactly across updates —
-            # serve the merged live state instead of re-fanning out a
-            # hidden one-shot detection (full_detect_count stays put).
-            return self._last_violations
         return self._detect(want_breakdown=False)
 
     def detect_with_breakdown(self) -> ViolationSet:
-        if self._states_live and self._last_violations is not None:
-            # breakdown() below reads the maintained per-shard statistics
-            # and the summary store; no full pass needed here either.
-            return self._last_violations
-        # Collect violations and per-constraint statistics in ONE sharded
-        # pass; a later breakdown() call then hits the cache instead of
-        # repeating the whole detection.
+        # Violations and per-constraint statistics from ONE bootstrap; a
+        # later breakdown() call then hits the cache.
         return self._detect(want_breakdown=True)
 
-    def _merge_summary_breakdown(
-        self, breakdown: dict[int, dict[str, int]], store: SummaryStore
-    ) -> dict[int, dict[str, int]]:
-        """Fold the store's MV statistics for summary fragments into a breakdown."""
-        for cid, stats in store.per_constraint_stats().items():
-            slot = breakdown.setdefault(cid, {"sv": 0, "mv_groups": 0, "mv_tuples": 0})
+    def _detect(self, want_breakdown: bool) -> ViolationSet:
+        """Serve the merged shard states, bootstrapping them if none are live."""
+        if self._ensure_shard_states():
+            self.full_detect_count += 1
+        if want_breakdown and self._last_breakdown is None:
+            self._last_breakdown = self._lane_breakdown()
+        violations = self._last_violations
+        assert violations is not None
+        self._release_unmaintained_states()
+        return violations
+
+    def _release_unmaintained_states(self) -> None:
+        """Drop the shard states when no update will maintain them.
+
+        A ``naive`` / ``batch`` delegate's states are only read once — its
+        updates go through ``apply_delta``, which drops them anyway — so
+        they are freed as soon as the call that built them has read them:
+        no shard copy of the relation outlives a detection.  The next read
+        bootstraps afresh.
+        """
+        if not self.supports_incremental:
+            self._invalidate_shard_states()
+
+    def _lane_breakdown(self) -> dict[int, dict[str, int]]:
+        """Per-constraint statistics: per-shard stats plus the summary store's."""
+        merged: dict[int, dict[str, int]] = {}
+        for _, shard_breakdown in self._query_states("breakdown"):
+            for cid, stats in shard_breakdown.items():
+                slot = merged.setdefault(cid, {"sv": 0, "mv_groups": 0, "mv_tuples": 0})
+                for name, value in stats.items():
+                    slot[name] = slot.get(name, 0) + value
+        for cid, stats in self._summary_store.per_constraint_stats().items():
+            slot = merged.setdefault(cid, {"sv": 0, "mv_groups": 0, "mv_tuples": 0})
             slot["mv_groups"] += stats["mv_groups"]
             slot["mv_tuples"] += stats["mv_tuples"]
-        return breakdown
+        return dict(sorted(merged.items()))
 
-    def _detect(self, want_breakdown: bool) -> ViolationSet:
-        self.full_detect_count += 1
-        tasks = self._build_tasks(want_breakdown)
-        merged = ViolationSet()
-        breakdown: dict[int, dict[str, int]] = {}
-        store = SummaryStore()
-        summary_bytes = 0
-        if tasks:
-            if self.executor == "remote":
-                results = self._remote_detect(tasks)
-            else:
-                pool = self._ensure_pool(len(tasks))
-                if pool is None:
-                    results = [_detect_shard(task) for task in tasks]
-                else:
-                    results = list(pool.map(_detect_shard, tasks))
-            for shard_violations, shard_breakdown, shard_summary in results:
-                merged.update(shard_violations)
-                if shard_summary:
-                    store.apply_summary(shard_summary)
-                    summary_bytes += summary_nbytes(shard_summary)
-                for cid, stats in shard_breakdown.items():
-                    slot = breakdown.setdefault(cid, {"sv": 0, "mv_groups": 0, "mv_tuples": 0})
-                    for key, value in stats.items():
-                        slot[key] = slot.get(key, 0) + value
-            # Cross-shard merge: the multi-tuple violations of the summary
-            # fragments, reconstructed from the folded group summaries.
-            merged.update(store.violations())
-        self._summary_trace = {
-            "groups": store.group_count(),
-            "bytes": summary_bytes,
-            "witnesses": store.witness_count(),
-        }
-        self._last_violations = merged
-        if want_breakdown:
-            self._last_breakdown = dict(
-                sorted(self._merge_summary_breakdown(breakdown, store).items())
-            )
-        # A plain detect leaves any cached breakdown alone: the data has not
-        # changed since it was computed (mutations invalidate both).
-        return merged
+    def _query_states(self, op: str) -> list[tuple[int, Any]]:
+        """Run a read-only op on every live shard state: ``(shard, result)`` pairs."""
+        shards = sorted(self._shard_layout.items())
+        if not shards:
+            return []
+        pool = self._ensure_lanes()
+        pending = [pool.submit(shard, op, key, retryable=is_idempotent(op)) for shard, key in shards]
+        return [(shard, collect()) for (shard, _), collect in zip(shards, pending)]
 
     # ------------------------------------------------------------------
-    # Remote fabric (executor="remote")
+    # Shard states on the lanes
     # ------------------------------------------------------------------
-    def _ensure_remote_pool(self) -> RemoteWorkerPool:
-        """The lane pool over the worker fleet, spawning locals if owed.
+    def _ensure_lanes(self) -> _InHostLanes | RemoteWorkerPool:
+        """The shard lanes, built on first use and kept until :meth:`close`.
 
         Built lazily — constructing the backend must not fork worker
-        processes the caller may never use — and kept until :meth:`close`.
+        processes the caller may never use.  A single shard, or
+        ``executor="serial"``, runs its lane inline.
         """
-        if self._remote_pool is None:
-            addresses, spawn = resolve_worker_addresses(
-                self._remote_workers, default_spawn=min(self.workers, 4)
-            )
-            if spawn:
-                self._owned_workers = spawn_local_workers(spawn)
-                addresses = [handle.address for handle in self._owned_workers]
-            self._remote_pool = RemoteWorkerPool(
-                addresses, rpc_timeout=self._rpc_timeout
-            )
-        return self._remote_pool
+        if self._lanes is None:
+            if self.executor == "remote":
+                self._lanes = RemoteWorkerPool.for_fleet(
+                    self._remote_workers,
+                    default_spawn=min(self.workers, 4),
+                    rpc_timeout=self._rpc_timeout,
+                )
+            elif self.executor == "serial" or self.workers <= 1:
+                self._lanes = _InHostLanes(None)
+            else:
+                self._lanes = _InHostLanes(
+                    ThreadPoolExecutor if self.executor == "thread" else ProcessPoolExecutor
+                )
+        return self._lanes
 
-    def _remote_detect(self, tasks: list[_ShardTask]) -> list:
-        """One-shot detection fanned out over the remote lanes.
+    def _shard_grid(self) -> tuple[int, list[tuple[int, ECFD]], list[tuple[int, ECFD]]]:
+        """``(shard count, native fragments, summary fragments)`` of every shard.
 
-        ``detect_shard`` is stateless (the worker builds, runs and discards
-        the delegate), so a lane failure here is absorbed by one re-pin and
-        a resubmission of the failed tasks — no shard state is at stake.  A
-        second failure propagates: with no healthy worker left there is
-        nothing to recover onto.
-        """
-        pool = self._ensure_remote_pool()
-        lanes = [index % max(1, self.workers) for index in range(len(tasks))]
-        pending = [
-            pool.submit(lane, "detect_shard", task, retryable=True)
-            for lane, task in zip(lanes, tasks)
-        ]
-        results: list = [None] * len(tasks)
-        failed: list[int] = []
-        for index, collect in enumerate(pending):
-            try:
-                results[index] = collect()
-            except LaneFailedError:
-                failed.append(index)
-        if failed:
-            pool.repin_lanes(sorted({lanes[index] for index in failed}))
-            retries = [
-                (index, pool.submit(lanes[index], "detect_shard", tasks[index], retryable=True))
-                for index in failed
-            ]
-            for index, collect in retries:
-                results[index] = collect()
-        return results
-
-    # ------------------------------------------------------------------
-    # Incremental updates (sharded INCDETECT)
-    # ------------------------------------------------------------------
-    def _stateful_layout(self) -> list[tuple[int, list[tuple[int, ECFD]], list[tuple[int, ECFD]]]]:
-        """The shard grid: ``(shard_index, native fragments, summary fragments)``.
-
-        Mirrors :meth:`_build_tasks` exactly — ``workers <= 1`` collapses to
-        one whole-Σ shard (the plain delegate), otherwise the single-pass
-        plan yields ``workers`` shards.  *Empty* shards are part of the grid
-        too: an insert may route to a shard that held no tuples at
-        bootstrap time, so its state must exist.
+        ``workers <= 1`` collapses to one whole-Σ shard (the plain
+        delegate), otherwise the single-pass plan yields ``workers`` shards.
+        *Empty* shards are part of the grid too: an insert may route to a
+        shard that held no tuples at bootstrap time, so its state must
+        exist.
         """
         if self.workers <= 1:
             fragments = list(self.sigma.normalize())
-            return [(0, fragments, [])] if fragments else []
+            return (1 if fragments else 0), fragments, []
         fragments = self._plan.shard_fragments()
-        if not fragments:
-            return []
-        return [
-            (shard, fragments, self._plan.summary_fragments)
-            for shard in range(self.workers)
-        ]
-
-    def _submit_to_lanes(
-        self, fn: Callable, tasks: list[tuple[int, object]]
-    ) -> list[Callable[[], object]]:
-        """Dispatch ``(lane, task)`` pairs to their pinned lanes without waiting.
-
-        Returns one result thunk per task, in submission order — calling a
-        thunk blocks until its task is done.  This is the pipelining
-        primitive: a caller may submit several waves of tasks back to back
-        and only then collect, so lane ``i`` starts wave ``N+1`` the moment
-        it finishes its slice of wave ``N`` (tasks submitted to one lane run
-        in order).  Serial execution (``executor="serial"`` or a single
-        worker) runs inline at submission time — shard states then live in
-        this process's module dict — which is the degenerate pipeline.
-        Otherwise each lane is a single-worker pool created on first use and
-        kept alive until :meth:`close`, so the states it holds survive
-        between calls.
-
-        Under ``executor="remote"`` a lane is a pinned worker connection
-        instead: the function is translated to its worker op
-        (:data:`_REMOTE_OPS`) and the payload crosses the RPC transport
-        unchanged.  Same contract — per-lane FIFO, thunks in submission
-        order — with one addition: a thunk may raise
-        :class:`~repro.exceptions.LaneFailedError` when the lane's worker
-        died, which the update path turns into shard re-bootstrap.
-        """
-        if self.executor == "remote":
-            pool = self._ensure_remote_pool()
-            op = _REMOTE_OPS[fn]
-            return [
-                pool.submit(lane, op, task, retryable=is_idempotent(op))
-                for lane, task in tasks
-            ]
-        if self.executor == "serial" or self.workers <= 1:
-            results = [fn(task) for _, task in tasks]
-            return [lambda result=result: result for result in results]
-        if self._lanes is None:
-            pool_class = ThreadPoolExecutor if self.executor == "thread" else ProcessPoolExecutor
-            self._lanes = [pool_class(max_workers=1) for _ in range(self.workers)]
-        futures = [self._lanes[lane].submit(fn, task) for lane, task in tasks]
-        return [future.result for future in futures]
-
-    def _run_in_lanes(self, fn: Callable, tasks: list[tuple[int, object]]) -> list:
-        """Run ``(lane, task)`` pairs on their pinned lanes and gather results."""
-        return [collect() for collect in self._submit_to_lanes(fn, tasks)]
-
-    def _ensure_shard_states(self) -> bool:
-        """Bootstrap the persistent per-shard INCDETECT states once.
-
-        Returns ``True`` when this call performed the bootstrap (the full
-        per-shard initialisation pass, seeding the summary store from the
-        shards' full summaries), ``False`` when the states were already
-        live.  Not meaningful for non-incremental delegates, which raise
-        instead.
-        """
-        if not self.supports_incremental:
-            raise EngineError(
-                f"sharded delegate {self.delegate!r} does not support incremental "
-                "updates; use delegate='incremental' (or any backend advertising "
-                "supports_incremental) for sharded INCDETECT"
-            )
-        if self._states_live:
-            return False
-        self._state_namespace = f"sharded-{os.getpid()}-{next(_STATE_NAMESPACES)}"
-        self._state_epoch = 0
-        rows = [
-            (t.tid, t.as_dict())
-            for t in self._relation.tuples()
-            if t.tid is not None
-        ]
-        factory = self._delegate_factory
-        self._shard_layout = {}
-        self._summary_store = SummaryStore()
-        tasks: list[tuple[int, _BootstrapTask]] = []
-        buckets: list[list[tuple[int, dict[str, str]]]] | None = None
-        for shard_index, fragments, summary_fragments in self._stateful_layout():
-            if self.workers <= 1:
-                shard_rows = rows
-            else:
-                if buckets is None:
-                    buckets = bucket_rows(rows, self._plan.key, self.workers)
-                shard_rows = buckets[shard_index]
-            key = self._state_key(shard_index)
-            self._shard_layout[shard_index] = key
-            tasks.append(
-                (shard_index, (key, self.schema, factory, fragments, summary_fragments, shard_rows))
-            )
-        try:
-            results = self._run_in_lanes(_shard_bootstrap, tasks)
-        except Exception:  # noqa: BLE001 - invalidate the partial bootstrap, then re-raise unchanged
-            # A partial bootstrap (some lanes built states, one failed)
-            # must not linger: drop whatever was parked and start over on
-            # the next call.
-            self._invalidate_shard_states()
-            raise
-        summary_bytes = 0
-        self._shard_violations = {}
-        for key, violations, shard_summary in results:
-            self._shard_violations[key] = violations
-            if shard_summary:
-                self._summary_store.apply_summary(shard_summary)
-                summary_bytes += summary_nbytes(shard_summary)
-        if self.executor == "remote":
-            # Remote bootstraps return no summaries: each worker *held* its
-            # lanes' full summaries, and the reduce stage merges them
-            # worker-side — one partial per worker crosses the network
-            # instead of one O(|shard|) summary per shard.
-            try:
-                summary_bytes = self._reduce_held_summaries(dict(self._shard_layout))
-            except Exception:  # noqa: BLE001 - invalidate the partial bootstrap, then re-raise unchanged
-                self._invalidate_shard_states()
-                raise
-        self._summary_trace = {
-            "groups": self._summary_store.group_count(),
-            "bytes": summary_bytes,
-            "witnesses": self._summary_store.witness_count(),
-        }
-        self._last_violations = self._merge_shard_violations()
-        self._states_live = True
-        return True
+        return (self.workers if fragments else 0), fragments, self._plan.summary_fragments
 
     def _state_key(self, shard_index: int) -> str:
         """The state key of ``shard_index`` at the current recovery epoch."""
         return f"{self._state_namespace}:{self._state_epoch}:{shard_index}"
 
-    def _reduce_held_summaries(self, layout: Mapping[int, str]) -> int:
-        """Fold the workers' held summaries into the store, one call per worker.
+    def _ensure_shard_states(self) -> bool:
+        """Bootstrap the persistent per-shard states once.
 
-        ``layout`` maps shard index (= lane) to the state key whose held
-        summary should be claimed.  Each worker merges its lanes' summaries
-        locally (:func:`repro.detection.summaries.merge_summaries`) and
-        ships one partial; folding the partials is exact because shards
-        partition the relation.  Returns the wire bytes of the partials.
-        ``reduce_summaries`` pops what it merges, so this is a one-shot
-        claim — a failure means the lanes on that worker are lost and the
-        caller re-requests fresh summaries after recovery.
+        Returns ``True`` when this call performed the bootstrap (the full
+        per-shard initialisation pass, seeding the summary store from the
+        shards' held full summaries), ``False`` when the states were
+        already live.  Lanes lost during the bootstrap are re-pinned and
+        rebuilt; any other failure drops the partial states and
+        propagates.
         """
-        pool = self._ensure_remote_pool()
-        summary_bytes = 0
+        if self._states_live:
+            return False
+        self._state_namespace = f"sharded-{os.getpid()}-{next(_STATE_NAMESPACES)}"
+        self._state_epoch = 0
+        self._shard_layout = {}
+        self._shard_violations = {}
+        try:
+            shards, _, _ = self._shard_grid()
+            lost = self._bootstrap_shards(list(range(shards)))
+            if lost:
+                self._recover_lanes(lost)
+            else:
+                self._reduce_held_summaries()
+        except Exception:  # noqa: BLE001 - drop the partial bootstrap, then re-raise unchanged
+            self._invalidate_shard_states()
+            raise
+        self._last_violations = self._merge_shard_violations()
+        self._states_live = True
+        return True
+
+    def _bootstrap_shards(self, shards: list[int]) -> set[int]:
+        """Build the given shards' states from coordinator storage.
+
+        Every state gets the current epoch's key and holds its full summary
+        for :meth:`_reduce_held_summaries`.  Returns the lanes lost during
+        the bootstrap (their shards need a rebuild).  A rebuilt shard's old
+        state is not dropped: it lived on a lost lane, and its older epoch
+        makes it unreachable either way.
+        """
+        if not shards:
+            return set()
+        rows = [(t.tid, t.as_dict()) for t in self._relation.tuples() if t.tid is not None]
+        buckets = bucket_rows(rows, self._plan.key, self.workers) if self.workers > 1 else [rows]
+        _, fragments, summary_fragments = self._shard_grid()
+        pool = self._ensure_lanes()
         pending = []
-        for _address, lanes in sorted(pool.lanes_by_address(layout).items()):
-            keys = [layout[lane] for lane in lanes]
-            pending.append(pool.submit(lanes[0], "reduce_summaries", keys))
-        for collect in pending:
-            partial = collect()
-            if partial:
-                self._summary_store.apply_summary(partial)
-                summary_bytes += summary_nbytes(partial)
-        return summary_bytes
-
-    def _recover_remote_lanes(self, failed_lanes: set[int], outcomes: list) -> dict:
-        """Re-pin lost lanes and re-bootstrap only their shards; exact by design.
-
-        The coordinator's storage receives every batch *before* the lanes
-        do, so at any failure point storage already holds the post-update
-        relation: re-bootstrapping a lost shard from storage lands on
-        exactly the state a surviving lane would have reached by applying
-        the deltas — that is what makes kill-a-worker-mid-update recovery
-        bit-exact.  The procedure:
-
-        1. widen the lost set to every lane pinned to a worker that no
-           longer answers a ping (an unprobed dead worker would fail the
-           next call anyway — better one recovery than many);
-        2. re-pin the lost lanes onto healthy workers and re-bootstrap
-           their shards from storage under fresh epoch keys (summaries
-           held worker-side);
-        3. rebuild the summary store from scratch: every surviving lane
-           re-emits (and holds) its current full summary, then one reduce
-           per worker claims everything — this round's in-flight summary
-           deltas are *discarded*, because the fresh full summaries already
-           reflect every update the survivors applied.
-
-        Successful lane results collected before the failure carry those
-        shards' current flag sets and are folded in by the caller; lost
-        shards get theirs from the re-bootstrap.  A failure *during*
-        recovery widens the lost set and retries, bounded by the fleet
-        size; with no healthy worker left a
-        :class:`~repro.exceptions.FabricError` propagates (and the caller
-        invalidates all shard states, as for any unrecoverable failure).
-        Never triggers a full detection — ``full_detect_count`` is
-        untouched.
-        """
-        pool = self._ensure_remote_pool()
-        lost = set(failed_lanes)
-        # Fold the flags of every lane task that *did* complete; a lane that
-        # completed some batches and then died is in ``lost`` and gets its
-        # state rebuilt below, overwriting this.
-        for key, violations, _delta, _readback in outcomes:
+        for shard in shards:
+            self._shard_violations.pop(self._shard_layout.get(shard, ""), None)
+            key = self._state_key(shard)
+            self._shard_layout[shard] = key
+            task = (key, self.schema, self._delegate_factory, fragments, summary_fragments, buckets[shard])
+            pending.append(pool.submit(shard, "bootstrap", task, retryable=True))
+        results, lost = _gather(pending)
+        for key, violations in results:
             self._shard_violations[key] = violations
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > len(pool.addresses) + 1:
-                raise FabricError(
-                    f"remote recovery did not converge after {attempts - 1} "
-                    f"attempts; lost lanes: {sorted(lost)}"
-                )
-            health = pool.probe_addresses()
-            lost.update(
-                lane
-                for lane in self._shard_layout
-                if not health.get(pool.lane_address(lane), False)
-            )
-            pool.repin_lanes(sorted(lost))
-            try:
-                self._rebootstrap_shards(sorted(lost))
-                summary_bytes = self._rebuild_summary_store(lost)
-                break
-            except LaneFailedError as exc:
-                lost.add(exc.lane)
+        return lost
+
+    def _reduce_held_summaries(self) -> None:
+        """Claim every live state's held summary into a fresh summary store.
+
+        One ``reduce_summaries`` call per host (per remote worker; per lane
+        in-host) claims the summaries of that host's lanes; folding the
+        partials is exact because shards partition the relation.  The
+        store replaces the coordinator's only once every claim arrived.  A
+        claim releases what it returns, so a failure means the host's lanes
+        are lost and the caller re-requests fresh summaries after recovery.
+        """
+        store = SummaryStore()
+        summary_bytes = 0
+        if self._shard_layout:
+            pool = self._ensure_lanes()
+            pending = [
+                pool.submit(lanes[0], "reduce_summaries", [self._shard_layout[lane] for lane in lanes])
+                for _, lanes in sorted(pool.lanes_by_address(self._shard_layout).items())
+            ]
+            for collect in pending:
+                partial = collect()
+                if partial:
+                    store.apply_summary(partial)
+                    summary_bytes += summary_nbytes(partial)
+        self._summary_store = store
+        self._trace_summary_exchange(summary_bytes)
+
+    def _trace_summary_exchange(self, summary_bytes: int) -> None:
+        """Record the most recent summary exchange: bootstrap or update deltas."""
         self._summary_trace = {
             "groups": self._summary_store.group_count(),
             "bytes": summary_bytes,
             "witnesses": self._summary_store.witness_count(),
         }
+
+    def _recover_lanes(self, lost: set[int]) -> dict:
+        """Re-pin lost lanes and re-bootstrap only their shards; exact by design.
+
+        The coordinator's storage receives every batch *before* the lanes
+        do, so at any failure point storage already holds the current
+        relation: re-bootstrapping a lost shard from storage lands on
+        exactly the state a surviving lane reached by applying the deltas —
+        that is what makes kill-a-worker recovery bit-exact, mid-update and
+        mid-bootstrap alike.  The procedure:
+
+        1. widen the lost set to every lane the pool knows is dead (for
+           remote lanes: pinned to a worker that no longer answers a ping —
+           better one recovery than many);
+        2. re-pin the lost lanes and re-bootstrap their shards from storage
+           under fresh epoch keys;
+        3. rebuild the summary store from scratch: every surviving lane
+           re-emits (and holds) its current full summary, then the reduce
+           stage claims everything — in-flight summary deltas are
+           *discarded*, because the fresh full summaries already reflect
+           every update the survivors applied.
+
+        A failure *during* recovery widens the lost set and retries,
+        bounded by the shard count; a pool with no healthy worker left
+        raises :class:`~repro.exceptions.FabricError`.  Never triggers a
+        full detection — ``full_detect_count`` is untouched.
+        """
+        pool = self._ensure_lanes()
+        attempts = 0
+        while True:
+            attempts += 1
+            if attempts > len(self._shard_layout) + 1:
+                raise FabricError(
+                    f"lane recovery did not converge after {attempts - 1} "
+                    f"attempts; lost lanes: {sorted(lost)}"
+                )
+            lost |= pool.lost_lanes(self._shard_layout)
+            pool.repin_lanes(sorted(lost))
+            self._state_epoch += 1
+            failed = self._bootstrap_shards(sorted(lost))
+            if failed:
+                lost |= failed
+                continue
+            try:
+                survivors = sorted(set(self._shard_layout) - lost)
+                pending = [
+                    pool.submit(lane, "full_summary", self._shard_layout[lane], retryable=True)
+                    for lane in survivors
+                ]
+                for collect in pending:
+                    collect()
+                self._reduce_held_summaries()
+                break
+            except LaneFailedError as exc:
+                lost.add(exc.lane)
         return {
             "lanes_lost": sorted(lost),
             "recovered_shards": len(lost),
             "recovery_attempts": attempts,
         }
-
-    def _rebootstrap_shards(self, shards: list[int]) -> None:
-        """Rebuild the given shards' states from coordinator storage.
-
-        Fresh epoch keys ensure nothing can confuse a rebuilt state with
-        its lost predecessor; the bootstrap summaries stay held worker-side
-        for the follow-up reduce.  Old keys are not dropped — they lived on
-        dead workers (or die with the next worker restart) and their new
-        epoch makes them unreachable either way.
-        """
-        if not shards:
-            return
-        self._state_epoch += 1
-        rows = [
-            (t.tid, t.as_dict())
-            for t in self._relation.tuples()
-            if t.tid is not None
-        ]
-        fragments_by_shard = {
-            shard: (fragments, summary_fragments)
-            for shard, fragments, summary_fragments in self._stateful_layout()
-        }
-        buckets = (
-            bucket_rows(rows, self._plan.key, self.workers) if self.workers > 1 else None
-        )
-        tasks: list[tuple[int, _BootstrapTask]] = []
-        for shard in shards:
-            fragments, summary_fragments = fragments_by_shard[shard]
-            shard_rows = rows if buckets is None else buckets[shard]
-            key = self._state_key(shard)
-            tasks.append(
-                (
-                    shard,
-                    (key, self.schema, self._delegate_factory, fragments, summary_fragments, shard_rows),
-                )
-            )
-        results = self._run_in_lanes(_shard_bootstrap, tasks)
-        for (shard, task), (key, violations, _held) in zip(tasks, results):
-            self._shard_violations.pop(self._shard_layout.get(shard, ""), None)
-            self._shard_layout[shard] = key
-            self._shard_violations[key] = violations
-
-    def _rebuild_summary_store(self, freshly_bootstrapped: set[int]) -> int:
-        """Re-derive the summary store from the lanes' live states.
-
-        Surviving lanes re-emit (and hold) their current full group
-        summaries — ``full_summary`` is idempotent, so a retry after a
-        reconnect is safe — the freshly bootstrapped lanes already hold
-        theirs, and one reduce per worker claims the lot into a brand-new
-        store.
-        """
-        survivors = sorted(
-            lane for lane in self._shard_layout if lane not in freshly_bootstrapped
-        )
-        pending = [
-            (lane, self._shard_layout[lane]) for lane in survivors
-        ]
-        self._run_in_lanes(_shard_full_summary, pending)
-        self._summary_store = SummaryStore()
-        return self._reduce_held_summaries(dict(self._shard_layout))
 
     def _merge_shard_violations(self) -> ViolationSet:
         """The exact union of every live shard's current violation set.
@@ -1073,28 +901,23 @@ class ShardedBackend(InMemoryRelationBackend):
         return merged
 
     def _invalidate_shard_states(self) -> None:
-        """Tear down the per-shard states after an out-of-band mutation.
+        """Drop the per-shard states; the lanes stay up for the next bootstrap.
 
         Drops run *on the owning lanes*: a shard's SQLite connection may
-        only be closed by the thread that created it, and process-lane
-        states do not even exist in this process.  A lane that already died
-        cannot run its drop — its states die with it, so the teardown just
-        proceeds to the pool shutdown.
+        only be closed by the thread that created it, and process-lane and
+        remote states do not even exist in this process.  A lane that
+        already died cannot run its drop — its states died with it.
         """
-        if not self._states_live and self._lanes is None:
-            return
-        if self._shard_layout:
-            tasks = [
-                (shard, key) for shard, key in self._shard_layout.items()
+        if self._shard_layout and self._lanes is not None:
+            pending = [
+                self._lanes.submit(shard, "drop", key, retryable=True)
+                for shard, key in self._shard_layout.items()
             ]
-            try:
-                self._run_in_lanes(_shard_drop, tasks)
-            except Exception:  # noqa: BLE001 - teardown is best-effort
-                pass
-        if self._lanes is not None:
-            for lane in self._lanes:
-                lane.shutdown()
-            self._lanes = None
+            for collect in pending:
+                try:
+                    collect()
+                except Exception:  # noqa: BLE001 - teardown is best-effort
+                    pass
         self._shard_layout = {}
         self._shard_violations = {}
         self._summary_store = SummaryStore()
@@ -1105,11 +928,14 @@ class ShardedBackend(InMemoryRelationBackend):
 
         Called by the engine before timing :meth:`incremental_update`; a
         no-op for non-incremental delegates (their update path is
-        ``apply_delta`` + full detection, which has no maintained state).
+        ``apply_delta`` + full detection, which drops the states anyway).
         """
         if self.supports_incremental:
             self._ensure_shard_states()
 
+    # ------------------------------------------------------------------
+    # Incremental updates (sharded INCDETECT)
+    # ------------------------------------------------------------------
     def incremental_update(
         self,
         delete_tids: Sequence[int],
@@ -1127,10 +953,11 @@ class ShardedBackend(InMemoryRelationBackend):
         exact merge of every shard's maintained flags and the delta-updated
         summary store.
 
-        Failure semantics: if a shard task (or a dying lane) raises after
+        Failure semantics: lost lanes are recovered (re-pinned and their
+        shards rebuilt from storage).  If a shard *operation* raises after
         the delta was applied to coordinator storage, the per-shard states
-        are *invalidated* before the exception propagates — storage keeps
-        the applied delta and the next call bootstraps afresh from it, so a
+        are dropped before the exception propagates — storage keeps the
+        applied delta and the next call bootstraps afresh from it, so a
         stale shard cache can never silently misreport violations.  (A
         caught-and-retried failure may therefore duplicate the inserted
         rows under fresh tids, like any retried ``apply_delta``.)
@@ -1161,10 +988,14 @@ class ShardedBackend(InMemoryRelationBackend):
         per shard; the signed summary deltas are folded in the same order
         (per-lane order is what correctness needs — deltas of different
         shards commute over the counted multisets).  Failure semantics are
-        those of :meth:`incremental_update`: any lane failure invalidates
-        the shard states, while coordinator storage keeps every batch that
-        was applied to it.
+        those of :meth:`incremental_update`.
         """
+        if not self.supports_incremental:
+            raise EngineError(
+                f"sharded delegate {self.delegate!r} does not support incremental "
+                "updates; use delegate='incremental' (or any backend advertising "
+                "supports_incremental) for sharded INCDETECT"
+            )
         bootstrap = self._ensure_shard_states()
         for _, insert_rows, insert_tids in batches:
             if insert_tids is not None and len(insert_tids) != len(insert_rows):
@@ -1174,7 +1005,7 @@ class ShardedBackend(InMemoryRelationBackend):
         touched_shards: set[int] = set()
         recovery: dict | None = None
         try:
-            pending: list[Callable[[], object]] = []
+            pending: list[Callable[[], Any]] = []
             for delete_tids, insert_rows, insert_tids in batches:
                 # --- apply ΔD⁻ to coordinator storage, resolving rows for routing ---
                 delete_pairs: list[tuple[int, dict[str, str]]] = []
@@ -1207,17 +1038,22 @@ class ShardedBackend(InMemoryRelationBackend):
                 else:
                     routed = route_delta(self._plan, self.workers, delete_pairs, insert_pairs)
                 touched_shards.update(routed)
-                tasks: list[tuple[int, _UpdateTask]] = []
-                for shard_index, (shard_deletes, shard_inserts) in sorted(routed.items()):
-                    key = self._shard_layout[shard_index]
-                    tasks.append((shard_index, (key, shard_deletes, shard_inserts)))
-                pending.extend(self._submit_to_lanes(_shard_update, tasks))
+                if routed:
+                    pool = self._ensure_lanes()
+                    for shard_index, (shard_deletes, shard_inserts) in sorted(routed.items()):
+                        task = (self._shard_layout[shard_index], shard_deletes, shard_inserts)
+                        pending.append(pool.submit(shard_index, "update", task, retryable=False))
             # --- the one barrier: collect every batch's lane results ---
-            if self.executor == "remote":
-                results, recovery = self._collect_remote_updates(pending)
-            else:
-                results = [collect() for collect in pending]
-        except Exception:  # noqa: BLE001 - invalidate shard state so the next call re-bootstraps, then re-raise
+            results, lost = _gather(pending)
+            if lost:
+                # Completed results carry their shards' exact current flags;
+                # the lost shards' come from the rebuild, and the rebuilt
+                # store already reflects every delta, so none is folded.
+                for key, violations, _delta, _readback in results:
+                    self._shard_violations[key] = violations
+                results = []
+                recovery = self._recover_lanes(lost)
+        except Exception:  # noqa: BLE001 - drop shard state so the next call re-bootstraps, then re-raise
             self._invalidate_shard_states()
             self._last_violations = None
             raise
@@ -1237,13 +1073,8 @@ class ShardedBackend(InMemoryRelationBackend):
         merged = self._merge_shard_violations()
         self._last_violations = merged
         self._last_breakdown = None
-        # The trace always describes the *most recent* summary exchange:
-        # here the update's deltas, at bootstrap the full summaries.
-        self._summary_trace = {
-            "groups": self._summary_store.group_count(),
-            "bytes": delta_bytes,
-            "witnesses": self._summary_store.witness_count(),
-        }
+        if recovery is None:
+            self._trace_summary_exchange(delta_bytes)
         self.last_update_trace = {
             "mode": "incremental",
             "bootstrap": bootstrap,
@@ -1258,70 +1089,33 @@ class ShardedBackend(InMemoryRelationBackend):
         }
         if recovery is not None:
             self.last_update_trace.update(recovery)
-        if self._remote_pool is not None:
-            self.last_update_trace["transport"] = self._remote_pool.transport_stats()
+        transport = self.transport_stats()
+        if transport is not None:
+            self.last_update_trace["transport"] = transport
         return merged
 
-    def _collect_remote_updates(
-        self, pending: Sequence[Callable[[], object]]
-    ) -> tuple[list, dict | None]:
-        """Collect remote lane results, recovering from lane losses.
-
-        Without a failure this is the plain barrier.  When a lane died
-        (worker killed, connection severed, call timed out) the completed
-        results still carry their shards' exact current flags; the lost
-        lanes go through :meth:`_recover_remote_lanes`, which rebuilds
-        their shards from coordinator storage and re-derives the summary
-        store — so the returned results list is empty then (flags and
-        store are already final) and the caller's delta folding has
-        nothing left to do.  :class:`~repro.exceptions.RemoteCallError`
-        (the worker is fine, the operation raised) propagates like any
-        in-process failure and invalidates the shard states.
-        """
-        outcomes = []
-        failed_lanes: set[int] = set()
-        for collect in pending:
-            try:
-                outcomes.append(collect())
-            except LaneFailedError as exc:
-                failed_lanes.add(exc.lane)
-        if not failed_lanes:
-            return outcomes, None
-        return [], self._recover_remote_lanes(failed_lanes, outcomes)
-
     def shard_stats(self) -> list[dict]:
-        """Per-shard state statistics from the live INCDETECT states.
+        """Per-shard state statistics from the live shard states.
 
-        Bootstraps the states if needed (incremental delegates only) and
-        returns one entry per shard — the shard index, the plan's partition
-        ``key`` and the delegate's ``state_stats()`` (tuples, Aux(D)
-        groups, macro rows) — so operators can see where the maintained
-        memory actually lives instead of guessing.  (``cluster`` is always
-        0 under the single-pass plan and kept for dashboard compatibility.)
+        Bootstraps the states if needed and returns one entry per shard —
+        the shard index, the plan's partition ``key`` and the delegate's
+        ``state_stats()`` (tuples, Aux(D) groups, macro rows) — so
+        operators can see where the maintained memory actually lives
+        instead of guessing.  Remote lanes also name their worker
+        ``address``.
         """
         self._ensure_shard_states()
-        by_key = {
-            state_key: shard_index
-            for shard_index, state_key in self._shard_layout.items()
-        }
-        tasks = sorted(
-            (shard, state_key) for shard, state_key in self._shard_layout.items()
-        )
-        results = self._run_in_lanes(_shard_state_stats, tasks)
-        key = self._plan.key if self.workers > 1 else ()
+        key = tuple(self._plan.key) if self.workers > 1 else ()
+        lanes = self._ensure_lanes()
         stats = []
-        for state_key, shard_stats in results:
-            entry = {
-                "cluster": 0,
-                "shard": by_key[state_key],
-                "key": tuple(key),
-                **shard_stats,
-            }
-            if self.executor == "remote":
-                host, port = self._ensure_remote_pool().lane_address(entry["shard"])
-                entry["address"] = f"{host}:{port}"
+        for shard, shard_stats in self._query_states("state_stats"):
+            entry = {"shard": shard, "key": key, **shard_stats}
+            address = lanes.lane_label(shard)
+            if address is not None:
+                entry["address"] = address
             stats.append(entry)
-        return sorted(stats, key=lambda item: item["shard"])
+        self._release_unmaintained_states()
+        return stats
 
     def transport_stats(self) -> dict[str, int] | None:
         """The remote fabric's transport counters, ``None`` off the remote path.
@@ -1330,18 +1124,15 @@ class ShardedBackend(InMemoryRelationBackend):
         ``rpc_retries``, ``bytes_sent`` / ``bytes_received`` on the wire,
         and the recovery counters ``lanes_lost`` / ``repins``.
         """
-        if self._remote_pool is None:
-            return None
-        return self._remote_pool.transport_stats()
+        return self._lanes.transport_stats() if self._lanes is not None else None
 
     def partition_stats(self) -> dict:
         """The single-pass plan and its replication / summary accounting.
 
         Reports the primary ``key``, the local/summary fragment split, the
         replication factor (1.0 by construction — every stored row ships to
-        exactly one shard; ``clustered_replication_factor`` is what the
-        pre-1.4 multi-pass plan would have shipped) and the group count /
-        wire bytes of the most recent summary exchange.
+        exactly one shard) and the group count / wire bytes of the most
+        recent summary exchange.
         """
         return {
             "key": tuple(self._plan.key),
@@ -1349,7 +1140,6 @@ class ShardedBackend(InMemoryRelationBackend):
             "local_fragments": len(self._plan.local_fragments),
             "summary_fragments": len(self._plan.summary_fragments),
             "replication_factor": self._plan.replication_factor,
-            "clustered_replication_factor": self._clustered_replication,
             "summary_groups": self._summary_trace.get("groups", 0),
             "summary_bytes": self._summary_trace.get("bytes", 0),
             "summary_witnesses": self._summary_trace.get("witnesses", 0),
@@ -1359,32 +1149,13 @@ class ShardedBackend(InMemoryRelationBackend):
     # Introspection
     # ------------------------------------------------------------------
     def violation_counts(self) -> dict[str, int]:
-        if self._last_violations is None:
-            self.detect()
-        assert self._last_violations is not None
-        return self._last_violations.summary()
+        return self.detect().summary()
 
     def breakdown(self) -> dict[int, dict[str, int]]:
         # The per-constraint statistics cost the SQL delegates an extra
-        # grouped Q_sv pass, so plain detect() skips them.  With live shard
-        # states (after incremental updates) an uncached request is served
-        # from the maintained per-shard state plus the summary store —
-        # per-shard cost, and the update path never pays a hidden
-        # whole-relation re-detection.  Without live states it triggers one
-        # sharded pass collecting both violations and statistics.
-        if self._last_breakdown is None and self._states_live:
-            tasks = sorted(
-                (shard, state_key)
-                for shard, state_key in self._shard_layout.items()
-            )
-            merged: dict[int, dict[str, int]] = {}
-            for _, shard_breakdown in self._run_in_lanes(_shard_breakdown, tasks):
-                for cid, stats in shard_breakdown.items():
-                    slot = merged.setdefault(cid, {"sv": 0, "mv_groups": 0, "mv_tuples": 0})
-                    for key, value in stats.items():
-                        slot[key] = slot.get(key, 0) + value
-            merged = self._merge_summary_breakdown(merged, self._summary_store)
-            self._last_breakdown = dict(sorted(merged.items()))
+        # grouped Q_sv pass per shard, so plain detect() skips them.  An
+        # uncached request is served from the live shard states plus the
+        # summary store (bootstrapping them first if none are live).
         if self._last_breakdown is None:
             self._detect(want_breakdown=True)
         assert self._last_breakdown is not None
@@ -1394,8 +1165,8 @@ class ShardedBackend(InMemoryRelationBackend):
     def summary_store(self) -> SummaryStore:
         """The coordinator's merged cross-shard group summaries (live view).
 
-        Fed full summaries at bootstrap / one-shot detection and signed
-        deltas on every incremental update.  Sharded repair reads its
+        Fed full summaries at bootstrap and signed deltas on every
+        incremental update.  Sharded repair reads its
         ``(cid, xv) → yv-multiset`` state to elect group fixes without
         pulling rows off the shards.
         """
@@ -1432,48 +1203,17 @@ class ShardedBackend(InMemoryRelationBackend):
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the one-shot pool, the shard lanes and their states.
+        """Drop the shard states, then shut the lanes down.
 
-        Idempotent.  On the remote path the shard states are dropped on
-        their workers first (while the connections are still open), then
-        the pool's connections and event loop go down, and finally any
-        workers this backend spawned are stopped — externally provided
-        workers are left running.
+        Idempotent.  The states are dropped on their lanes first (while
+        the lanes — and remote connections — are still open), then the
+        lanes go down, taking any workers they spawned with them —
+        externally provided workers are left running.
         """
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
         self._invalidate_shard_states()
-        if self._remote_pool is not None:
-            if self._owned_workers:
-                self._remote_pool.shutdown_workers()
-            self._remote_pool.close()
-            self._remote_pool = None
-        for handle in self._owned_workers:
-            handle.stop()
-        self._owned_workers = []
-
-
-def detect_sharded(
-    relation: Relation,
-    sigma: ECFDSet | Sequence[ECFD],
-    delegate: str = "batch",
-    workers: int | None = None,
-    executor: str = DEFAULT_EXECUTOR,
-) -> ViolationSet:
-    """One-shot sharded detection over an in-memory relation.
-
-    Convenience wrapper used by scripts and benchmarks that do not need the
-    full backend lifecycle.
-    """
-    backend = ShardedBackend(
-        relation.schema, sigma, delegate=delegate, workers=workers, executor=executor
-    )
-    try:
-        backend.load_relation(relation)
-        return backend.detect()
-    finally:
-        backend.close()
+        if self._lanes is not None:
+            self._lanes.close()
+            self._lanes = None
 
 
 register_backend(ShardedBackend.name, ShardedBackend)

@@ -3,8 +3,8 @@
 The shard side — what a summary *is* and how detectors emit one — lives in
 :mod:`repro.detection.summaries`.  This module owns the coordinator's half
 of the single-pass protocol: :class:`SummaryStore` folds per-shard
-summaries (full, at bootstrap / one-shot detection) and signed deltas (from
-the stateful INCDETECT lanes) into one merged group map and materialises
+summaries (full, claimed from the lanes at bootstrap) and signed deltas
+(from the stateful INCDETECT lanes) into one merged group map and materialises
 the multi-tuple violations no single shard could witness.
 
 The merge is exact: shards partition the relation, so summing yv multisets
@@ -37,8 +37,8 @@ class SummaryStore:
     """The coordinator's merged view of every shard's group summaries.
 
     Maintains, per ``(cid, xv)`` group, the global yv multiset and witness
-    tid set, under both full per-shard summaries (bootstrap / one-shot
-    merge) and signed deltas (sharded INCDETECT).  The embedded-FD verdict
+    tid set, under both full per-shard summaries (bootstrap) and signed
+    deltas (sharded INCDETECT).  The embedded-FD verdict
     is read off the merged state: a group violates iff its yv multiset has
     at least two distinct values with positive count.  The set of violating
     groups is tracked *incrementally* as deltas land, so the per-update

@@ -31,9 +31,9 @@ backoff used for connection establishment and idempotent calls — the sleep
 function is injectable so tests drive it without wall-clock waits.
 
 Every operation that crosses this transport is **declared** with the
-:func:`rpc_op` decorator, which records its name and — crucially — whether
-it is idempotent.  Retries are only ever attached to registered-idempotent
-ops: :meth:`RemoteWorkerPool.submit <repro.parallel.remote.RemoteWorkerPool.submit>`
+:func:`rpc_op` decorator, which records its name, its one handler and —
+crucially — whether it is idempotent.  Retries are only ever attached to
+registered-idempotent ops: :meth:`RemoteWorkerPool.submit <repro.parallel.remote.RemoteWorkerPool.submit>`
 refuses ``retryable=True`` for anything else at runtime, and the project
 linter (``python -m repro.lint``, rule RPL002) cross-checks the same
 invariant statically, so idempotency claims live in one machine-checked
@@ -87,7 +87,7 @@ class TransportClosed(FabricError):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RpcOpSpec:
-    """One declared fabric operation.
+    """One declared fabric operation and its one implementation.
 
     ``idempotent=True`` asserts that re-running the op after an *ambiguous*
     transport failure (the reply was lost — the op may or may not have
@@ -95,39 +95,38 @@ class RpcOpSpec:
     overwrite-on-rerun operations qualify.  Anything whose re-execution
     could double-apply an effect must be declared ``idempotent=False`` and
     is never retried — its failure path is lane loss and re-bootstrap.
+    ``handler`` takes the request payload and returns the reply payload;
+    every lane — in-host or on a remote worker — dispatches to it.
     """
 
     name: str
     idempotent: bool
+    handler: Callable[[Any], Any] = field(compare=False, repr=False)
 
 
 _RPC_OPS: dict[str, RpcOpSpec] = {}
 
-_C = TypeVar("_C", bound=Callable[..., Any])
+_C = TypeVar("_C", bound=Callable[[Any], Any])
 
 
 def rpc_op(name: str, *, idempotent: bool) -> Callable[[_C], _C]:
-    """Declare a fabric RPC op and tag the decorated handler with its spec.
+    """Declare a fabric RPC op, recording the decorated function as its handler.
 
-    Both halves of an operation carry the decorator — the coordinator-side
-    shard function in :mod:`repro.parallel.sharded` and the worker-side
-    handler in :mod:`repro.parallel.worker` — so either import populates
-    the registry.  Re-declaring a name is allowed only with the *same*
-    idempotency flag; a conflict raises :class:`~repro.exceptions.FabricError`
-    immediately (at import time), because two sides disagreeing on whether
-    an op may be retried is exactly the bug this registry exists to stop.
+    Each op has exactly one implementation, so a second declaration of a
+    name raises :class:`~repro.exceptions.FabricError` immediately (at
+    import time) — whatever its idempotency flag.  The decorated handler is
+    tagged with its spec (``handler.__rpc_op__``).
     """
 
     def decorate(handler: _C) -> _C:
-        spec = _RPC_OPS.get(name)
-        if spec is None:
-            spec = RpcOpSpec(name=name, idempotent=idempotent)
-            _RPC_OPS[name] = spec
-        elif spec.idempotent != idempotent:
+        if name in _RPC_OPS:
             raise FabricError(
-                f"RPC op {name!r} re-declared with conflicting idempotency "
-                f"(registered idempotent={spec.idempotent}, got {idempotent})"
+                f"RPC op {name!r} is already declared "
+                f"(idempotent={_RPC_OPS[name].idempotent}); every op has one "
+                "implementation and one retry contract"
             )
+        spec = RpcOpSpec(name=name, idempotent=idempotent, handler=handler)
+        _RPC_OPS[name] = spec
         handler.__rpc_op__ = spec  # type: ignore[attr-defined]
         return handler
 

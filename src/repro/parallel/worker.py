@@ -2,10 +2,11 @@
 
 ``python -m repro.parallel.worker --host 127.0.0.1 --port 0`` starts one
 worker: an asyncio server speaking the length-prefixed RPC protocol of
-:mod:`repro.parallel.transport` and executing the *same* shard functions
-the in-host executors run (:func:`repro.parallel.sharded._shard_bootstrap`
-and friends) — the lane/task protocol was shaped for this from the start,
-so the worker is a network skin, not a re-implementation.
+:mod:`repro.parallel.transport`.  It is a network skin, not a
+re-implementation: every request names an op, and the worker runs the
+handler the :func:`~repro.parallel.transport.rpc_op` registry recorded for
+it — the shard ops of :mod:`repro.parallel.sharded`, the very functions the
+in-host lanes run, plus this module's own ``ping`` and ``shutdown``.
 
 Execution model
 ---------------
@@ -15,9 +16,8 @@ created on first use and kept for the worker's lifetime, so
 
 * a lane's operations run strictly in submission order (the pipelining
   contract of ``incremental_update_many``);
-* the SQLite-backed INCDETECT state a lane's bootstrap creates is only ever
-  touched from the thread that created it (SQLite connections are
-  thread-affine);
+* the SQLite-backed state a lane's bootstrap creates is only ever touched
+  from the thread that created it (SQLite connections are thread-affine);
 * a *reconnecting* coordinator (after a severed connection) reaches the
   same executor thread by sending the same lane id — shard state survives
   connection loss, though the coordinator conservatively re-bootstraps
@@ -25,22 +25,15 @@ created on first use and kept for the worker's lifetime, so
 
 Different lanes run concurrently; shard states live in the worker's copy of
 :data:`repro.parallel.sharded._SHARD_STATES`, exactly as they do in a
-process-pool lane.
-
-The reduce stage
-----------------
-Bootstrap (and recovery ``full_summary``) calls do **not** return their
-group summaries: each is *held* worker-side, and one ``reduce_summaries``
-call per worker merges every held summary
-(:func:`repro.detection.summaries.merge_summaries`) into a single partial
-before it crosses the network.  With empty-LHS FDs a shard summary carries
-``O(|shard|)`` witness tids, so the coordinator-bound traffic drops from
-one ``O(|D|/shards)`` transfer per *shard* to one merged partial per
-*worker*.
+process lane.  Bootstrap and ``full_summary`` hold each shard's group
+summary on its state, and one ``reduce_summaries`` call per worker claims
+and merges the held summaries of that worker's lanes before they cross the
+network (see :func:`repro.parallel.sharded._reduce_summaries`).
 
 The worker prints ``READY <host> <port>`` on stdout once listening (the
 spawn helpers parse it — ``--port 0`` binds an ephemeral port) and exits on
-SIGTERM/SIGINT or a ``shutdown`` request.
+SIGTERM/SIGINT or a ``shutdown`` request; its shard states die with the
+process.
 """
 
 from __future__ import annotations
@@ -48,18 +41,18 @@ from __future__ import annotations
 import argparse
 import asyncio
 import signal
-import threading
 import traceback
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-from repro.detection.summaries import merge_summaries
+from repro.exceptions import FabricError
 from repro.parallel import sharded as _sharded
 from repro.parallel.transport import (
     FrameError,
     TransportClosed,
     encode_frame,
+    op_spec,
     read_frame,
     rpc_op,
 )
@@ -75,15 +68,7 @@ class ShardWorker:
         self._requested_port = port
         self._server: asyncio.base_events.Server | None = None
         self._lane_executors: dict[str, ThreadPoolExecutor] = {}
-        #: lane id -> state keys bootstrapped on that lane's thread, so a
-        #: clean shutdown can close each SQLite state on its owning thread.
-        self._lane_keys: dict[str, set[str]] = {}
-        self._held_summaries: dict[str, dict] = {}
-        self._held_lock = threading.Lock()
         self._shutdown = asyncio.Event()
-        #: Requests served / connections accepted, returned by ``ping``.
-        self.requests = 0
-        self.connections = 0
 
     @property
     def port(self) -> int:
@@ -108,19 +93,9 @@ class ShardWorker:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Drop every lane's shard states on their own threads, then retire
-        # the executors — a clean worker exit leaks neither SQLite handles
-        # nor threads.
-        loop = asyncio.get_running_loop()
-        for lane, executor in self._lane_executors.items():
-            for key in sorted(self._lane_keys.get(lane, ())):
-                try:
-                    await loop.run_in_executor(executor, _sharded._shard_drop, key)
-                except Exception:  # noqa: BLE001 - teardown is best-effort
-                    pass
+        for executor in self._lane_executors.values():
             executor.shutdown(wait=False)
         self._lane_executors.clear()
-        self._lane_keys.clear()
 
     # ------------------------------------------------------------------
     # Protocol
@@ -128,7 +103,6 @@ class ShardWorker:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.connections += 1
         loop = asyncio.get_running_loop()
         try:
             while True:
@@ -139,19 +113,16 @@ class ShardWorker:
                     # cannot continue (states survive for a reconnect).
                     break
                 seq, lane, op, payload = message
-                self.requests += 1
                 try:
-                    handler = _HANDLERS[op]
-                except KeyError:
+                    handler = op_spec(op).handler
+                except FabricError:
                     reply = (seq, False, ("FabricError", f"unknown op {op!r}", ""))
                 else:
                     executor = self._lane_executors.setdefault(
                         lane, ThreadPoolExecutor(max_workers=1, thread_name_prefix=lane)
                     )
                     try:
-                        result = await loop.run_in_executor(
-                            executor, handler, self, lane, payload
-                        )
+                        result = await loop.run_in_executor(executor, handler, payload)
                         reply = (seq, True, result)
                     except Exception as exc:  # noqa: BLE001 - protocol boundary
                         reply = (
@@ -171,103 +142,17 @@ class ShardWorker:
             except (ConnectionError, OSError):
                 pass
 
-    # ------------------------------------------------------------------
-    # Operations (each runs on the request's lane thread).  Every handler
-    # carries its @rpc_op declaration — the idempotency flag is what the
-    # coordinator's retry layer and the RPL002 lint rule key off.
-    # ------------------------------------------------------------------
-    @rpc_op("ping", idempotent=True)
-    def _op_ping(self, lane: str, payload: Any) -> dict:
-        return {
-            "pong": True,
-            "requests": self.requests,
-            "connections": self.connections,
-            "states": len(_sharded._SHARD_STATES),
-        }
 
-    @rpc_op("bootstrap", idempotent=True)
-    def _op_bootstrap(self, lane: str, payload: Any) -> tuple:
-        """Build one shard state; hold its summary for the reduce stage."""
-        key = payload[0]
-        # A re-bootstrap at an existing key (retry after an ambiguous
-        # failure) must not leak the previous delegate's database.
-        _sharded._shard_drop(key)
-        key, violations, summary = _sharded._shard_bootstrap(payload)
-        with self._held_lock:
-            self._held_summaries[key] = summary
-            self._lane_keys.setdefault(lane, set()).add(key)
-        return (key, violations, None)
-
-    @rpc_op("update", idempotent=False)
-    def _op_update(self, lane: str, payload: Any) -> tuple:
-        return _sharded._shard_update(payload)
-
-    @rpc_op("full_summary", idempotent=True)
-    def _op_full_summary(self, lane: str, payload: str) -> str:
-        """Re-emit one live shard's full summary (recovery); held for reduce."""
-        state = _sharded._SHARD_STATES[payload]
-        summary = (
-            state.backend.fd_group_summary(state.summary_fragments)
-            if state.summary_fragments
-            else {}
-        )
-        with self._held_lock:
-            self._held_summaries[payload] = summary
-        return payload
-
-    @rpc_op("reduce_summaries", idempotent=False)
-    def _op_reduce_summaries(self, lane: str, payload: Sequence[str]) -> dict:
-        """Merge and release the held summaries of ``payload``'s state keys."""
-        with self._held_lock:
-            parts = [
-                self._held_summaries.pop(key)
-                for key in payload
-                if key in self._held_summaries
-            ]
-        return merge_summaries(parts)
-
-    @rpc_op("detect_shard", idempotent=True)
-    def _op_detect_shard(self, lane: str, payload: Any) -> tuple:
-        return _sharded._detect_shard(payload)
-
-    @rpc_op("breakdown", idempotent=True)
-    def _op_breakdown(self, lane: str, payload: str) -> tuple:
-        return _sharded._shard_breakdown(payload)
-
-    @rpc_op("state_stats", idempotent=True)
-    def _op_state_stats(self, lane: str, payload: str) -> tuple:
-        return _sharded._shard_state_stats(payload)
-
-    @rpc_op("drop", idempotent=True)
-    def _op_drop(self, lane: str, payload: str) -> str:
-        with self._held_lock:
-            self._held_summaries.pop(payload, None)
-            for keys in self._lane_keys.values():
-                keys.discard(payload)
-        return _sharded._shard_drop(payload)
-
-    @rpc_op("shutdown", idempotent=True)
-    def _op_shutdown(self, lane: str, payload: Any) -> bool:
-        return True
+@rpc_op("ping", idempotent=True)
+def _ping(payload: Any) -> dict:
+    """Liveness probe; reports how many shard states this worker holds."""
+    return {"pong": True, "states": len(_sharded._SHARD_STATES)}
 
 
-#: op name -> handler, derived from the @rpc_op tags above — the registry
-#: is the single enumeration, so a declared-but-unrouted op cannot exist.
-_HANDLERS = {
-    handler.__rpc_op__.name: handler
-    for handler in (
-        ShardWorker._op_ping,
-        ShardWorker._op_bootstrap,
-        ShardWorker._op_update,
-        ShardWorker._op_full_summary,
-        ShardWorker._op_reduce_summaries,
-        ShardWorker._op_detect_shard,
-        ShardWorker._op_breakdown,
-        ShardWorker._op_state_stats,
-        ShardWorker._op_drop,
-        ShardWorker._op_shutdown,
-    )
-}
+@rpc_op("shutdown", idempotent=True)
+def _shutdown(payload: Any) -> bool:
+    """Acknowledge; the connection handler then stops the worker."""
+    return True
 
 
 async def _amain(host: str, port: int) -> None:

@@ -84,9 +84,11 @@ class QualityService:
         incremental updates (the service maintains state, never
         recomputes), so ``backend`` defaults to ``"incremental"`` — with
         ``workers > 1`` that is sharded INCDETECT over per-shard lanes.
-        ``executor="remote"`` puts the lanes on standalone worker
-        processes (the remote shard fabric) — the service front end is
-        unchanged; only where the lane work runs moves off-host.
+        ``executor`` picks where those lanes run: ``"thread"`` (default),
+        ``"process"``, ``"serial"`` or ``"remote"`` (standalone worker
+        processes, the remote shard fabric) — the lanes bootstrapped at
+        start serve every later update and detect, and the service front
+        end is the same whichever executor runs them.
     remote_workers / rpc_timeout:
         Worker fleet and per-call deadline for ``executor="remote"``
         (see :class:`~repro.parallel.ShardedBackend`); ignored otherwise.

@@ -96,23 +96,40 @@ class TestRemoteDetection:
         assert engine.partition_stats()["replication_factor"] == 1.0
         engine.close()
 
-    def test_detection_survives_a_dead_worker_via_repin(self):
-        # The one-shot path is stateless: losing a worker costs one re-pin
-        # and a resubmission of the failed shards, nothing more.
+    @pytest.mark.parametrize(
+        "delegate, after_kill", [("batch", "detect"), ("incremental", "update")]
+    )
+    def test_detection_survives_a_dead_worker_via_repin(self, delegate, after_kill):
+        # A lane lost while its shard bootstraps costs one re-pin and a
+        # rebuild of the lost shards, nothing more — whether the bootstrap
+        # comes from detect() or from ensure_ready() ahead of an update.
         fleet = spawn_local_workers(2)
         try:
             rng = random.Random(12)
             sigma = _random_sigma(rng)
             rows = _random_rows(rng, 150)
-            reference = _reference(sigma, rows, backend="batch")
+            reference = _reference(sigma, rows, backend=delegate)
             engine = _remote_engine(
-                sigma, [h.address for h in fleet], delegate="batch", rpc_timeout=10.0
+                sigma, [h.address for h in fleet], delegate=delegate, rpc_timeout=10.0
             )
             engine.load(rows)
             assert engine.detect().violations == reference.violations
             fleet[0].kill()
-            engine.backend._on_mutation()  # force a fresh fan-out
-            assert engine.detect().violations == reference.violations
+            engine.backend._on_mutation()  # drop the states: force a bootstrap
+            if after_kill == "detect":
+                assert engine.detect().violations == reference.violations
+            else:
+                # Independent oracle: one whole-relation INCDETECT state.
+                single = DataQualityEngine(SCHEMA, sigma, backend="incremental")
+                single.load(rows)
+                engine.backend.ensure_ready()
+                deletes = rng.sample(range(1, 151), k=20)
+                inserts = _random_rows(rng, 5)
+                expected = single.apply_update(delete_tids=deletes, insert_rows=inserts)
+                single.close()
+                result = engine.apply_update(delete_tids=deletes, insert_rows=inserts)
+                assert result.incremental
+                assert result.violations == expected.violations
             stats = engine.backend.transport_stats()
             assert stats["lanes_lost"] >= 1 and stats["repins"] >= 1
             engine.close()
@@ -282,7 +299,7 @@ class TestOwnedFleet:
         )
         engine.load(rows)
         assert engine.detect().violations == reference.violations
-        owned = list(engine.backend._owned_workers)
+        owned = list(engine.backend._lanes.owned_workers)
         assert len(owned) == 1 and owned[0].is_alive()
         engine.close()
         assert not owned[0].is_alive()

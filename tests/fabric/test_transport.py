@@ -349,7 +349,6 @@ class TestRpcOpRegistry:
         # reply loss would double-apply it.
         assert set(registered_ops()) - idempotent_ops() == {"update", "reduce_summaries"}
         assert is_idempotent("bootstrap")
-        assert is_idempotent("detect_shard")
         assert not is_idempotent("update")
 
     def test_unknown_op_is_never_idempotent(self):
@@ -363,24 +362,27 @@ class TestRpcOpRegistry:
         assert handler.__rpc_op__.idempotent
         assert is_idempotent("test-op-tagged")
 
-    def test_same_flag_redeclaration_is_allowed(self, scratch_op):
-        # The coordinator-side shard function and the worker-side handler
-        # both declare the same op; agreeing declarations share the spec.
+    def test_same_flag_redeclaration_raises(self, scratch_op):
+        # Each op has one implementation: even an agreeing second
+        # declaration is refused, and the first handler stays registered.
         first = scratch_op("test-op-shared", idempotent=True)
-        second = scratch_op("test-op-shared", idempotent=True)
-        assert first.__rpc_op__ is second.__rpc_op__
+        with pytest.raises(FabricError, match="already declared"):
+            scratch_op("test-op-shared", idempotent=True)
+        assert op_spec("test-op-shared").handler is first
 
     def test_conflicting_redeclaration_raises_at_import_time(self, scratch_op):
         scratch_op("test-op-conflict", idempotent=True)
-        with pytest.raises(FabricError, match="conflicting idempotency"):
+        with pytest.raises(FabricError, match="already declared"):
             scratch_op("test-op-conflict", idempotent=False)
 
-    def test_worker_routing_table_is_derived_from_the_registry(self):
-        from repro.parallel.worker import _HANDLERS
+    def test_every_op_dispatches_to_its_one_registered_handler(self):
+        import repro.parallel.worker  # noqa: F401 - declares ping / shutdown
 
-        for name, handler in _HANDLERS.items():
-            assert handler.__rpc_op__.name == name
-            assert name in registered_ops()
+        for name in registered_ops():
+            handler = op_spec(name).handler
+            assert handler.__rpc_op__ is op_spec(name)
+        assert op_spec("bootstrap").handler.__module__ == "repro.parallel.sharded"
+        assert op_spec("ping").handler.__module__ == "repro.parallel.worker"
 
     def test_pool_refuses_retryable_submission_of_non_idempotent_op(self):
         from repro.parallel.remote import RemoteWorkerPool

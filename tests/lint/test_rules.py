@@ -527,6 +527,25 @@ class TestRegistryConsistency:
         assert "names no benchmark function" in messages
         assert "EXTRA_INFO_FIELDS" in messages
 
+    def test_duplicate_rpc_op_declaration_fires(self, lint_tree):
+        declaration = '''
+        from repro.parallel.transport import rpc_op
+
+        @rpc_op("echo", idempotent=True)
+        def _echo(payload):
+            return payload
+        '''
+        result = lint_tree(
+            {
+                "src/repro/parallel/a.py": declaration,
+                "src/repro/parallel/b.py": declaration,
+            }
+        )
+        assert codes(result) == ["RPL007"]
+        violation = result.violations[0]
+        assert violation.path == "src/repro/parallel/b.py"
+        assert "duplicate @rpc_op declaration 'echo'" in violation.message
+
     def test_unregistered_op_dispatch_fires(self, lint_tree):
         result = lint_tree(
             {

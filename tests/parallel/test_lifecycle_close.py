@@ -59,13 +59,12 @@ class TestIdempotentClose:
     def test_remote_close_is_idempotent_and_reaps_owned_workers(self):
         engine = _engine("remote", remote_workers=1)
         engine.backend.ensure_ready()
-        owned = list(engine.backend._owned_workers)
+        owned = list(engine.backend._lanes.owned_workers)
         assert len(owned) == 1 and owned[0].is_alive()
         engine.close()
         engine.close()
         assert not owned[0].is_alive()
-        assert engine.backend._owned_workers == []
-        assert engine.backend._remote_pool is None
+        assert engine.backend._lanes is None
 
 
 class TestNoLeakedResources:
@@ -75,7 +74,9 @@ class TestNoLeakedResources:
         engine.apply_update(delete_tids=[1, 2, 3])
         lanes = engine.backend._lanes
         assert lanes is not None
-        refs = [weakref.ref(lane) for lane in lanes]
+        refs = [weakref.ref(lanes)]
+        refs += [weakref.ref(executor) for executor in lanes._executors.values()]
+        assert len(refs) == 4  # the pool and its three thread lanes
         engine.close()
         assert engine.backend._lanes is None
         del lanes
@@ -90,7 +91,7 @@ class TestNoLeakedResources:
             engine.backend.ensure_ready()
             engine.apply_update(delete_tids=[1, 2, 3])
             assert _open_fds() > before  # lane sockets + loop plumbing live
-            pool_ref = weakref.ref(engine.backend._remote_pool)
+            pool_ref = weakref.ref(engine.backend._lanes)
             engine.close()
             gc.collect()
             assert pool_ref() is None
@@ -104,7 +105,7 @@ class TestNoLeakedResources:
         before = _open_fds()
         engine = _engine("remote", remote_workers=2)
         engine.backend.ensure_ready()
-        owned = list(engine.backend._owned_workers)
+        owned = list(engine.backend._lanes.owned_workers)
         assert [handle.is_alive() for handle in owned] == [True, True]
         engine.close()
         assert [handle.is_alive() for handle in owned] == [False, False]

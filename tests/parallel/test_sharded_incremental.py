@@ -11,6 +11,8 @@ single-threaded reference trajectories once (module-scoped fixtures), so the
 executor matrix only pays for the sharded runs.
 """
 
+import os
+
 import pytest
 
 from repro.core import ECFD, ECFDSet
@@ -18,7 +20,12 @@ from repro.core.schema import cust_ext_schema
 from repro.datagen.generator import DatasetGenerator
 from repro.datagen.updates import UpdateGenerator
 from repro.datagen.workload import paper_workload
-from repro.engine import DataQualityEngine
+from repro.engine import (
+    DataQualityEngine,
+    IncrementalBackend,
+    register_backend,
+    unregister_backend,
+)
 from repro.exceptions import EngineError
 
 EXECUTORS = ("serial", "thread", "process")
@@ -27,6 +34,18 @@ EQUIVALENCE_SIZE = 5_000
 #: Batches in the shared update workload; insert and delete counts differ
 #: so |D| drifts and the tid-assignment discipline is exercised.
 BATCH_COUNT, BATCH_INSERTS, BATCH_DELETES = 2, 150, 120
+#: Environment variable naming the file _CountingIncremental logs to; the
+#: environment reaches process lanes too, so every construction is counted.
+CONSTRUCTION_LOG = "REPRO_TEST_CONSTRUCTION_LOG"
+
+
+class _CountingIncremental(IncrementalBackend):
+    """The incremental delegate, logging one line per construction."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        with open(os.environ[CONSTRUCTION_LOG], "a") as log:
+            log.write("built\n")
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +320,67 @@ class TestLifecycleAndContract:
         reference.close()
         engine.close()
 
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_detect_then_update_builds_each_shard_once(
+        self, ext_schema, sigma, executor, tmp_path, monkeypatch
+    ):
+        """detect() bootstraps the states the following updates maintain."""
+        log = tmp_path / "constructions.log"
+        log.touch()
+        monkeypatch.setenv(CONSTRUCTION_LOG, str(log))
+        rows = DatasetGenerator(seed=7).generate_rows(200, 10.0)
+        reference = DataQualityEngine(ext_schema, sigma, backend="incremental")
+        reference.load(rows)
+        reference.detect()
+        register_backend("counting-incremental", _CountingIncremental)
+        try:
+            engine = DataQualityEngine(
+                ext_schema,
+                sigma,
+                backend="counting-incremental",
+                workers=3,
+                executor=executor,
+            )
+            engine.load(rows)
+            assert engine.detect().violations == reference.detect().violations
+            inserts = DatasetGenerator(seed=8).generate_rows(10, 30.0)
+            expected = reference.apply_update(delete_tids=[2, 5], insert_rows=inserts)
+            result = engine.apply_update(delete_tids=[2, 5], insert_rows=inserts)
+            assert result.incremental
+            assert result.violations == expected.violations
+            assert engine.backend.full_detect_count == 1
+            engine.close()
+        finally:
+            unregister_backend("counting-incremental")
+            reference.close()
+        assert log.read_text().count("built") == 3, "one delegate per shard"
+
+    def test_killed_process_lane_rebuilds_only_its_shard(self, ext_schema, sigma):
+        """A dead process lane is re-pinned and its shard rebuilt from storage."""
+        rows = DatasetGenerator(seed=9).generate_rows(300, 10.0)
+        reference = DataQualityEngine(ext_schema, sigma, backend="incremental")
+        reference.load(rows)
+        reference.detect()
+        engine = DataQualityEngine(
+            ext_schema, sigma, backend="incremental", workers=3, executor="process"
+        )
+        engine.load(rows)
+        engine.backend.ensure_ready()
+        for process in list(engine.backend._lanes._executors[1]._processes.values()):
+            process.kill()
+            process.join()
+        deletes = list(range(1, 301, 10))
+        expected = reference.apply_update(delete_tids=deletes)
+        result = engine.apply_update(delete_tids=deletes)
+        assert result.violations == expected.violations
+        assert engine.backend.last_update_trace["lanes_lost"] == [1]
+        assert engine.backend.full_detect_count == 0
+        # The rebuilt lane keeps maintaining its shard exactly.
+        expected = reference.apply_update(delete_tids=[2, 12, 22])
+        assert engine.apply_update(delete_tids=[2, 12, 22]).violations == expected.violations
+        reference.close()
+        engine.close()
+
     def test_non_incremental_delegate_refuses(self, ext_schema, sigma):
         rows = DatasetGenerator(seed=5).generate_rows(100, 5.0)
         engine = DataQualityEngine(
@@ -324,16 +404,11 @@ class TestLifecycleAndContract:
         stats = engine.shard_stats()
         assert stats, "stateful layout must expose at least one shard"
         for entry in stats:
-            assert {"cluster", "shard", "key", "tuples", "aux_groups",
+            assert {"shard", "key", "tuples", "aux_groups",
                     "macro_rows", "initialized"} <= set(entry)
             assert entry["initialized"] == 1
-        # Shards of one cluster partition the relation (colocate_all and
-        # whole-relation clusters replicate it, never split it).
-        by_cluster = {}
-        for entry in stats:
-            by_cluster.setdefault(entry["cluster"], 0)
-            by_cluster[entry["cluster"]] += entry["tuples"]
-        assert all(total == len(rows) for total in by_cluster.values())
+        # The single-pass shards partition the relation.
+        assert sum(entry["tuples"] for entry in stats) == len(rows)
         engine.close()
 
     def test_shard_stats_unavailable_on_plain_backends(self, ext_schema, sigma):
@@ -401,7 +476,7 @@ class TestReviewHardening:
         self, ext_schema, sigma, monkeypatch
     ):
         """A shard failure mid-update must never leave stale caches behind."""
-        import repro.parallel.sharded as sharded_module
+        from repro.engine import IncrementalBackend
 
         rows = DatasetGenerator(seed=33).generate_rows(300, 10.0)
         reference = DataQualityEngine(ext_schema, sigma, backend="incremental")
@@ -414,10 +489,10 @@ class TestReviewHardening:
         engine.load(rows)
         engine.backend.ensure_ready()
 
-        def exploding(task):
+        def exploding(self, *args, **kwargs):
             raise RuntimeError("shard lane died")
 
-        monkeypatch.setattr(sharded_module, "_shard_update", exploding)
+        monkeypatch.setattr(IncrementalBackend, "incremental_update", exploding)
         with pytest.raises(RuntimeError):
             engine.backend.incremental_update([3], [])
         assert not engine.backend._states_live, "failed update must invalidate"
