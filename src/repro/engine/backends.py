@@ -51,7 +51,7 @@ from repro.detection.sqlgen import (
     rhs_violation_condition,
 )
 from repro.detection.summaries import summarize_rows, summary_delta
-from repro.exceptions import EngineError, UnknownBackendError
+from repro.exceptions import EngineError, SchemaError, UnknownBackendError
 
 __all__ = [
     "DetectorBackend",
@@ -362,11 +362,20 @@ class InMemoryRelationBackend(DetectorBackend):
         self._on_mutation()
 
     def apply_cell_changes(self, changes: Sequence) -> None:
+        # All or nothing, like the SQL backends' rolled-back batch: reject an
+        # unknown tid before writing any cell.
         for change in changes:
-            self._relation.replace_cell(
-                change.tid, change.attribute, str(change.new_value)
-            )
-        self._on_mutation()
+            if self._relation.get(change.tid) is None:
+                raise SchemaError(
+                    f"relation {self.schema.name!r} has no tuple with tid={change.tid}"
+                )
+        try:
+            for change in changes:
+                self._relation.replace_cell(
+                    change.tid, change.attribute, str(change.new_value)
+                )
+        finally:
+            self._on_mutation()
 
     # -- introspection --------------------------------------------------
     def count(self) -> int:

@@ -30,12 +30,11 @@ from repro.core.ecfd import ECFD, ECFDSet
 from repro.core.instance import Relation
 from repro.core.schema import RelationSchema, Value
 from repro.discovery.discover import DiscoveryResult, discover_ecfd
-from repro.engine.backends import DetectorBackend, create_backend
+from repro.engine.backends import DetectorBackend, NaiveBackend, create_backend
 from repro.engine.results import DetectionResult, QualityReport, RepairResult
 from repro.exceptions import EngineError, UnsatisfiableError
 from repro.repair.cost import RepairCostModel
-from repro.repair.repairer import GreedyRepairer, RepairOutcome
-from repro.repair.strategies import create_strategy
+from repro.repair.strategies import RepairOutcome, create_strategy
 
 __all__ = ["DataQualityEngine", "DEFAULT_CHUNK_SIZE"]
 
@@ -370,7 +369,6 @@ class DataQualityEngine:
         strategy: str | None = None,
         max_rounds: int = 10,
         cost_model: RepairCostModel | None = None,
-        workers: int | None = None,
         apply: bool = True,
     ) -> RepairResult:
         """Repair the stored data in place with a pluggable strategy.
@@ -383,16 +381,13 @@ class DataQualityEngine:
         materialise-and-reload — and incremental strategies re-validate each
         round through the backend's maintained violation state (for sharded
         engines the per-shard INCDETECT states stay live across the repair
-        and the fix deltas are routed like any other update).
+        and the fix deltas are routed like any other update).  Repair runs
+        through the engine's own backend, so its parallelism is the
+        engine's ``workers``.
 
-        ``workers`` optionally documents the expected repair parallelism; it
-        must match the engine's own worker count (repair always runs through
-        the engine's backend — construct the engine with ``workers=N`` to
-        shard the repair path).
-
-        ``apply=False`` is a dry run: the repair is planned on a
-        materialised copy with the greedy baseline and the audit returned,
-        but the stored data is left untouched.
+        ``apply=False`` is a dry run: the greedy strategy repairs a scratch
+        copy of the data and returns the same audit an applied greedy
+        repair would, while the stored data is left untouched.
 
         Raises
         ------
@@ -400,36 +395,25 @@ class DataQualityEngine:
             If Σ is unsatisfiable or the strategy fails to converge within
             ``max_rounds``.
         """
-        if workers is not None and workers != self.workers:
+        if strategy is None:
+            strategy = self._default_repair_strategy() if apply else "greedy"
+        if not apply and strategy != "greedy":
             raise EngineError(
-                f"repair parallelism is fixed by the engine's configuration "
-                f"(workers={self.workers}); construct the engine with "
-                f"workers={workers} to change it"
+                f"apply=False plans the repair on a materialised copy and "
+                f"only supports the 'greedy' strategy (got {strategy!r})"
             )
-        if strategy is not None:
-            name = strategy
-        elif apply:
-            name = self._default_repair_strategy()
-        else:
-            name = "greedy"  # dry runs plan on a copy — the baseline's job
         started = time.perf_counter()
-        if apply:
-            strategy_obj = create_strategy(
-                name, sigma=self.sigma, cost_model=cost_model, max_rounds=max_rounds
-            )
-            outcome = strategy_obj.repair(self.backend)
-        else:
-            if name != "greedy":
-                raise EngineError(
-                    f"apply=False plans the repair on a materialised copy and "
-                    f"only supports the 'greedy' strategy (got {name!r})"
-                )
-            repairer = GreedyRepairer(
-                self.sigma, cost_model=cost_model, max_rounds=max_rounds
-            )
-            outcome = repairer.repair(self.backend.to_relation())
+        repairer = create_strategy(
+            strategy, sigma=self.sigma, cost_model=cost_model, max_rounds=max_rounds
+        )
+        target = self.backend
+        if not apply:
+            # The dry run's scratch copy takes the greedy loop's one write.
+            target = NaiveBackend(self.schema, self.sigma)
+            target.load_relation(self.backend.to_relation())
+        outcome = repairer.repair(target)
         repair_seconds = time.perf_counter() - started
-        return self._repair_result(name, outcome, repair_seconds)
+        return self._repair_result(strategy, outcome, repair_seconds)
 
     def _repair_result(
         self, strategy: str, outcome: RepairOutcome, seconds: float

@@ -1,7 +1,7 @@
 """Sharded repair: routed fix deltas plus summary-elected group fixes.
 
-The ``"sharded"`` repair strategy runs the violation-driven repair loop of
-:class:`~repro.repair.strategies.IncrementalRepairStrategy` over a
+The ``"sharded"`` repair strategy extends
+:class:`~repro.repair.strategies.IncrementalRepairStrategy` to a
 :class:`~repro.parallel.ShardedBackend`, reusing the two sharding layers the
 detection path already built instead of bypassing them:
 
@@ -25,17 +25,19 @@ detection path already built instead of bypassing them:
 * **rounds are batched into one routed delta**: when Python and SQL pattern
   matching provably coincide for Σ (:func:`~repro.repair.validate.text_safe_patterns`
   — every pattern constant a string, values stored as text), the strategy
-  plans *all* its rounds locally against the coordinator's mirror, using a
-  :class:`~repro.repair.validate.MirrorValidator` to maintain the exact
-  flags between rounds, and ships the accumulated fixes as a **single**
-  delete+reinsert delta.  A k-round repair then costs one lane round-trip
-  instead of k; the trace reports ``lane_round_trips`` and
-  ``round_trips_saved``.  Round 1 still elects cross-shard groups from the
-  merged summary store (it describes exactly the start state); later rounds
-  elect from the mirror's own rows, which the shared planner guarantees
-  gives bit-identical elections for the same state.  When the semantics
-  gate fails — or ``batch_rounds=False`` — the strategy falls back to
-  shipping every round, the pre-batching behaviour.
+  re-validates each round locally on a
+  :class:`~repro.repair.validate.MirrorValidator`, which maintains the
+  exact flags of the coordinator's mirror, and ships the accumulated fixes
+  as a **single** delete+reinsert delta once the loop has converged.  A
+  k-round repair then costs one lane round-trip instead of k; the trace
+  reports ``lane_round_trips`` and ``round_trips_saved``.  Round 1 still
+  elects cross-shard groups from the merged summary store (it describes
+  exactly the start state); later rounds elect from the mirror's own rows,
+  which the shared planner guarantees gives bit-identical elections for the
+  same state.  When the semantics gate fails the strategy ships every round,
+  like the incremental strategy.  Batching stays sharded-only: a shipped
+  round is cheap on a plain incremental backend, and only here does each
+  one cost a lane round-trip.
 
 Because the summary store is only advanced by shipped deltas, its multisets
 describe exactly the start-of-round state the shared
@@ -43,6 +45,8 @@ describe exactly the start-of-round state the shared
 summary-elected and row-counted elections agree bit-for-bit, which is what
 makes sharded repair produce the identical clean relation (and identical
 cell-change audit) as the single-threaded greedy baseline, batched or not.
+The round loop itself is :meth:`~repro.repair.strategies.RepairStrategy.repair`;
+this module supplies only the sharded election, re-validation and shipping.
 
 The strategy registers itself as ``"sharded"`` in the repair-strategy
 registry; :meth:`repro.engine.DataQualityEngine.repair` selects it
@@ -51,11 +55,12 @@ automatically for sharded engines with an incremental-capable delegate.
 
 from __future__ import annotations
 
+from repro.core.instance import Relation
+from repro.core.violations import ViolationSet
 from repro.exceptions import EngineError, RepairError
 from repro.parallel.sharded import ShardedBackend
 from repro.repair.cost import CellChange
 from repro.repair.fixes import GroupCountsHook
-from repro.repair.repairer import RepairOutcome
 from repro.repair.strategies import IncrementalRepairStrategy, register_strategy
 from repro.repair.validate import MirrorValidator, text_safe_patterns
 
@@ -65,19 +70,14 @@ __all__ = ["ShardedRepairStrategy"]
 class ShardedRepairStrategy(IncrementalRepairStrategy):
     """Routed, summary-elected repair over the sharded detection backend.
 
-    ``batch_rounds`` (default ``True``) enables planning several repair
-    rounds locally and shipping them as one routed delta; it only engages
-    when local re-validation is provably exact for Σ (see the module
-    docstring), falling back to per-round shipping otherwise.
+    Rounds are re-validated locally and shipped as one routed delta when
+    local re-validation is provably exact for Σ (see the module docstring);
+    otherwise every round ships, like the incremental strategy.
     """
 
     name = "sharded"
 
-    def __init__(self, sigma, cost_model=None, max_rounds: int = 10, batch_rounds: bool = True):
-        super().__init__(sigma, cost_model=cost_model, max_rounds=max_rounds)
-        self.batch_rounds = batch_rounds
-
-    def repair(self, backend) -> RepairOutcome:
+    def _check_backend(self, backend) -> None:
         if not isinstance(backend, ShardedBackend):
             raise EngineError(
                 f"the 'sharded' repair strategy runs over the sharded detection "
@@ -85,80 +85,41 @@ class ShardedRepairStrategy(IncrementalRepairStrategy):
                 "with workers > 1 over an incremental delegate, or use "
                 "strategy='incremental')"
             )
-        if not self.batch_rounds or not text_safe_patterns(self.sigma):
-            return super().repair(backend)
-        return self._repair_batched(backend)
+        super()._check_backend(backend)
 
-    def _repair_batched(self, backend: ShardedBackend) -> RepairOutcome:
-        """Plan every round locally, ship the accumulated fixes once."""
-        self._check_satisfiable()
-        backend.ensure_ready()
-        violations = backend.detect()
-        baseline_full_detects = backend.full_detect_count
+    def _seed(self, backend) -> tuple[Relation, ViolationSet]:
+        mirror, violations = super()._seed(backend)
+        self._summary_counts = self._group_counts_hook(backend)
+        # Batched rounds snapshot the start state and maintain the mirror's
+        # exact flags as the planner writes each round's fixes into it.
+        self._validator = (
+            MirrorValidator(self.sigma, mirror) if text_safe_patterns(self.sigma) else None
+        )
+        return mirror, violations
 
-        mirror = backend.to_relation()
-        # Snapshots the start state; maintains the exact flags of the
-        # mirror as the planner writes each round's fixes into it.
-        validator = MirrorValidator(self.sigma, mirror)
-        group_counts = self._group_counts_hook(backend)
+    def _election(self, round_number: int) -> GroupCountsHook | None:
+        # A batched repair elects from the summary store in round 1 only: the
+        # store describes the last *shipped* state, which later (unshipped)
+        # rounds have already moved past.  Row-counted elections over the
+        # mirror are bit-identical for the same state, so nothing diverges.
+        if self._validator is not None and round_number > 1:
+            return None
+        return self._summary_counts
 
-        changes: list[CellChange] = []
-        rounds_trace: list[dict] = []
-        planned_rounds = 0
-        rows_avoided = 0
-        summary_groups = 0
-        converged_rounds: int | None = None
-        for round_number in range(1, self.max_rounds + 1):
-            if violations.is_clean():
-                converged_rounds = round_number - 1
-                break
-            dirty_before = len(violations)
-            # Only round 1 may elect from the summary store — it describes
-            # the last *shipped* state, which later (unshipped) rounds have
-            # already moved past.  Row-counted elections over the mirror are
-            # bit-identical for the same state, so nothing diverges.
-            hook = group_counts if planned_rounds == 0 else None
-            plan = self.planner.plan_round(mirror, violations, group_counts=hook)
-            if not plan.changes:
-                raise RepairError(
-                    f"sharded repair stalled in round {round_number}: no fix "
-                    f"applies to the {dirty_before} remaining dirty tuples"
-                )
-            planned_rounds += 1
-            rows_avoided += backend.count()
-            summary_groups += plan.summary_groups
-            changes.extend(plan.changes)
-            rounds_trace.append(
-                {
-                    "round": round_number,
-                    "dirty": dirty_before,
-                    "mv_fixes": plan.mv_fixes,
-                    "sv_fixes": plan.sv_fixes,
-                    "changes": len(plan.changes),
-                    "summary_groups": plan.summary_groups,
-                }
-            )
-            violations = validator.apply_changes(plan.changes)
-        else:
-            if violations.is_clean():
-                converged_rounds = self.max_rounds
-        if converged_rounds is None:
-            raise RepairError(
-                f"sharded repair did not converge within {self.max_rounds} "
-                f"rounds; {len(violations)} tuples remain dirty"
-            )
+    def _revalidate(self, backend, mirror: Relation, changes: list[CellChange]) -> ViolationSet:
+        if self._validator is None:
+            return super()._revalidate(backend, mirror, changes)
+        return self._validator.apply_changes(changes)
 
-        # One routed delta carries every round's fixes: delete + reinsert
-        # the changed tuples (final mirror values) under pinned tids.
+    def _finish(
+        self, backend, mirror: Relation, changes: list[CellChange], rounds: list[dict]
+    ) -> dict:
+        if self._validator is None:
+            return super()._finish(backend, mirror, changes, rounds)
+        # One routed delta carries every round's fixes (final mirror values).
         lane_round_trips = 0
         if changes:
-            tids = sorted({change.tid for change in changes})
-            rows = []
-            for tid in tids:
-                t = mirror.get(tid)
-                assert t is not None  # the planner only rewrites stored tuples
-                rows.append(t.as_dict())
-            shipped = backend.incremental_update(tids, rows, insert_tids=tids)
+            shipped = self._ship(backend, mirror, changes)
             lane_round_trips = 1
             if not shipped.is_clean():
                 # The semantics gate should make this unreachable; a dirty
@@ -168,27 +129,15 @@ class ShardedRepairStrategy(IncrementalRepairStrategy):
                 raise RepairError(
                     "batched sharded repair diverged from the backend: "
                     f"{len(shipped)} tuples still dirty after shipping "
-                    f"{planned_rounds} locally validated rounds"
+                    f"{len(rounds)} locally validated rounds"
                 )
+        return {
+            **super()._finish(backend, mirror, changes, rounds),
+            "lane_round_trips": lane_round_trips,
+            "round_trips_saved": len(rounds) - lane_round_trips,
+        }
 
-        return RepairOutcome(
-            mirror,
-            changes,
-            self.cost_model.cost(changes),
-            rounds=converged_rounds,
-            trace={
-                "strategy": self.name,
-                "full_detects": backend.full_detect_count - baseline_full_detects,
-                "maintained_rounds": planned_rounds,
-                "redetect_rows_avoided": rows_avoided,
-                "summary_groups_repaired": summary_groups,
-                "lane_round_trips": lane_round_trips,
-                "round_trips_saved": planned_rounds - lane_round_trips,
-                "rounds": rounds_trace,
-            },
-        )
-
-    def _group_counts_hook(self, backend) -> GroupCountsHook | None:
+    def _group_counts_hook(self, backend: ShardedBackend) -> GroupCountsHook | None:
         """Elect summary-fragment group fixes from the merged summary store.
 
         Local fragments (LHS ⊇ partition key: their groups are complete on

@@ -1,29 +1,43 @@
-"""Pluggable repair strategies and the string-keyed strategy registry.
+"""The repair round loop and the string-keyed repair-strategy registry.
 
-Mirrors the detector-backend registry of :mod:`repro.engine.backends`: a
-:class:`RepairStrategy` turns a dirty backend into a clean one, strategies
-register under string names, and :meth:`repro.engine.DataQualityEngine.repair`
-routes through the registry exactly like ``detect`` routes through the
-backend registry.  Two strategies live here; the sharded strategy registers
-itself from :mod:`repro.parallel.repair`:
+Value-modification repair of eCFD violations (paper future work, Section
+VIII): given data D and a *satisfiable* Σ, a repair is a modified D' that
+satisfies Σ, and a good repair changes as little as possible.  Finding a
+minimum-cost repair is already intractable for plain CFDs, so — like the
+heuristic of Bohannon et al. (SIGMOD 2005) the paper points to — repair
+applies local greedy fixes round after round until the data is clean.  The
+fixes of a round come from the shared :class:`~repro.repair.fixes.FixPlanner`
+(majority election inside violating embedded-FD groups, admissible
+replacement values for single-tuple pattern violations).
 
-* ``"greedy"`` — the baseline of Bohannon et al. (SIGMOD 2005) style: every
-  round re-runs a full reference detection over the materialised relation
-  (:class:`~repro.repair.repairer.GreedyRepairer`), then the accumulated
-  fixes are applied to the backend in place;
-* ``"incremental"`` — violation-driven repair over any backend advertising
-  ``supports_incremental``: the violation set is **seeded once** (the
-  backend's ``ensure_ready`` + maintained ``detect`` — for a live INCDETECT
-  state this is free) and every round's fix batch is pushed through
-  ``incremental_update`` as a delete+reinsert delta under the *same* tuple
-  identifiers, so re-validation is INCDETECT delta maintenance — per-round
-  cost proportional to the touched groups, never a full re-detection
-  (asserted on the backend's ``full_detect_count`` trace counter).
+:meth:`RepairStrategy.repair` is the one round loop: satisfiability check,
+seed, then per round "clean? → plan → stall check → record trace →
+re-validate", then the convergence check.  A round that plans no fix, or
+data still dirty after ``max_rounds``, raises
+:class:`~repro.exceptions.RepairError` rather than returning dirty data.
+Strategies supply only the steps that differ — how they seed, elect and
+re-validate a round, and how the fixes reach the backend — and register
+under string names; :meth:`repro.engine.DataQualityEngine.repair` routes
+through the registry exactly like ``detect`` routes through the backend
+registry.  Two strategies live here; the sharded strategy registers itself
+from :mod:`repro.parallel.repair`:
 
-Every strategy plans fixes with the shared
-:class:`~repro.repair.fixes.FixPlanner`, so for the same data and Σ all
-strategies produce bit-identical repaired relations and cell-change audits —
-strategies differ in *cost*, never in outcome.
+* ``"greedy"`` — the baseline: seeds and re-validates every round with a
+  full reference detection (:class:`~repro.detection.naive.NaiveDetector`)
+  over a materialised mirror of the data, then applies all fixes to the
+  backend once with ``apply_cell_changes``;
+* ``"incremental"`` — over any backend advertising ``supports_incremental``:
+  the violation set is **seeded once** from the backend's maintained state
+  (``ensure_ready`` + ``detect`` — free for a live INCDETECT state) and every
+  round's fix batch ships through ``incremental_update`` as a
+  delete+reinsert delta under the *same* tuple identifiers, so
+  re-validation is INCDETECT delta maintenance — per-round cost
+  proportional to the touched groups, never a full re-detection (asserted
+  on the backend's ``full_detect_count`` trace counter).
+
+Every strategy plans with the same planner from the same state, so for the
+same data and Σ all of them produce bit-identical repaired relations and
+cell-change audits — strategies differ in *cost*, never in outcome.
 """
 
 from __future__ import annotations
@@ -34,12 +48,15 @@ from typing import ClassVar
 
 from repro.analysis.satisfiability import is_satisfiable
 from repro.core.ecfd import ECFD, ECFDSet
+from repro.core.instance import Relation
+from repro.core.violations import ViolationSet
+from repro.detection.naive import NaiveDetector
 from repro.exceptions import EngineError, RepairError, UnknownStrategyError
 from repro.repair.cost import CellChange, RepairCostModel
 from repro.repair.fixes import FixPlanner, GroupCountsHook
-from repro.repair.repairer import GreedyRepairer, RepairOutcome
 
 __all__ = [
+    "RepairOutcome",
     "RepairStrategy",
     "GreedyRepairStrategy",
     "IncrementalRepairStrategy",
@@ -49,6 +66,47 @@ __all__ = [
     "create_strategy",
     "resolve_strategy_factory",
 ]
+
+
+class RepairOutcome:
+    """The outcome of a repair: the repaired relation plus an audit trail.
+
+    This is the repair layer's working result (the engine façade flattens it
+    into the serializable :class:`repro.engine.results.RepairResult`, the
+    one audit type shipped across process boundaries — the two used to share
+    a name, which this class resolves).
+    """
+
+    def __init__(
+        self,
+        relation: Relation | None,
+        changes: list[CellChange],
+        cost: float,
+        rounds: int,
+        trace: dict | None = None,
+    ):
+        self.relation = relation
+        self.changes = tuple(changes)
+        self.cost = cost
+        self.rounds = rounds
+        #: Repair-path diagnostics: per-round convergence plus the strategy's
+        #: cost counters (full detections run, rounds maintained by deltas,
+        #: re-detection rows avoided, summary-elected groups).
+        self.trace = dict(trace or {})
+
+    @property
+    def change_count(self) -> int:
+        """Number of modified cells."""
+        return len(self.changes)
+
+    def changed_tids(self) -> frozenset[int]:
+        """Identifiers of the tuples touched by the repair."""
+        return frozenset(change.tid for change in self.changes)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"RepairOutcome(cells={self.change_count}, cost={self.cost}, rounds={self.rounds})"
+        )
 
 
 class RepairStrategy(ABC):
@@ -81,34 +139,125 @@ class RepairStrategy(ABC):
         self.max_rounds = max_rounds
         self.planner = FixPlanner(self.sigma)
 
-    @abstractmethod
     def repair(self, backend) -> RepairOutcome:
         """Repair the backend's stored data in place and return the audit.
 
         On success the backend serves the repaired (clean) state under the
         original tuple identifiers — no materialise-and-reload.  Raises
-        :class:`~repro.exceptions.RepairError` when Σ is unsatisfiable or
-        the strategy fails to converge.
+        :class:`~repro.exceptions.RepairError` when Σ is unsatisfiable, a
+        round finds no fix, or the data is still dirty after ``max_rounds``.
         """
-
-    def _check_satisfiable(self) -> None:
+        self._check_backend(backend)
         if not is_satisfiable(self.sigma):
             raise RepairError("the constraint set is unsatisfiable; no repair exists")
+        mirror, violations = self._seed(backend)
+        changes: list[CellChange] = []
+        rounds: list[dict] = []
+        for round_number in range(1, self.max_rounds + 1):
+            if violations.is_clean():
+                break
+            plan = self.planner.plan_round(
+                mirror, violations, group_counts=self._election(round_number)
+            )
+            if not plan.changes:
+                raise RepairError(
+                    f"{self.name} repair stalled in round {round_number}: no fix "
+                    f"applies to the {len(violations)} remaining dirty tuples"
+                )
+            changes.extend(plan.changes)
+            entry = {
+                "round": round_number,
+                "dirty": len(violations),
+                "mv_fixes": plan.mv_fixes,
+                "sv_fixes": plan.sv_fixes,
+                "changes": len(plan.changes),
+            }
+            if self.requires_incremental:
+                # Only the delta strategies log summary elections per round.
+                entry["summary_groups"] = plan.summary_groups
+            rounds.append(entry)
+            violations = self._revalidate(backend, mirror, plan.changes)
+        if not violations.is_clean():
+            raise RepairError(
+                f"{self.name} repair did not converge within {self.max_rounds} "
+                f"rounds; {len(violations)} tuples remain dirty"
+            )
+        counters = self._finish(backend, mirror, changes, rounds)
+        return RepairOutcome(
+            mirror,
+            changes,
+            self.cost_model.cost(changes),
+            rounds=len(rounds),
+            trace={"strategy": self.name, **counters, "rounds": rounds},
+        )
+
+    # ------------------------------------------------------------------
+    # The steps a strategy supplies
+    # ------------------------------------------------------------------
+    def _check_backend(self, backend) -> None:
+        """Reject a backend the strategy cannot run over."""
+        if self.requires_incremental and not backend.supports_incremental:
+            raise EngineError(
+                f"the {self.name!r} repair strategy needs an incremental-capable "
+                f"backend; {backend.name!r} does not support incremental updates "
+                "(use strategy='greedy')"
+            )
+
+    @abstractmethod
+    def _seed(self, backend) -> tuple[Relation, ViolationSet]:
+        """The working mirror of the backend's data and its start-state flags.
+
+        The planner writes each round's fixes into the mirror; the
+        repaired mirror is the outcome's relation.
+        """
+
+    def _election(self, round_number: int) -> GroupCountsHook | None:
+        """Election source for a round's group fixes (``None`` = count rows)."""
+        return None
+
+    @abstractmethod
+    def _revalidate(self, backend, mirror: Relation, changes: list[CellChange]) -> ViolationSet:
+        """The flags after a round whose ``changes`` are already in ``mirror``."""
+
+    @abstractmethod
+    def _finish(
+        self, backend, mirror: Relation, changes: list[CellChange], rounds: list[dict]
+    ) -> dict:
+        """Leave the backend serving the repaired data; return the trace counters."""
 
 
 class GreedyRepairStrategy(RepairStrategy):
-    """The full-re-detection baseline, applied in place to any backend."""
+    """The full-re-detection baseline, applied in place to any backend.
+
+    Every round re-runs the reference detector over the whole mirror; the
+    trace's ``full_detects`` counts those passes — the re-detect cost the
+    delta strategies exist to avoid.  The backend is written once, after
+    the loop converged.
+    """
 
     name = "greedy"
 
-    def repair(self, backend) -> RepairOutcome:
-        repairer = GreedyRepairer(
-            self.sigma, cost_model=self.cost_model, max_rounds=self.max_rounds
-        )
-        outcome = repairer.repair(backend.to_relation())
-        if outcome.changes:
-            backend.apply_cell_changes(outcome.changes)
-        return outcome
+    def _seed(self, backend) -> tuple[Relation, ViolationSet]:
+        self._detector = NaiveDetector(self.sigma)
+        self._full_detects = 0
+        mirror = backend.to_relation()
+        return mirror, self._revalidate(backend, mirror, [])
+
+    def _revalidate(self, backend, mirror: Relation, changes: list[CellChange]) -> ViolationSet:
+        self._full_detects += 1
+        return self._detector.detect(mirror)
+
+    def _finish(
+        self, backend, mirror: Relation, changes: list[CellChange], rounds: list[dict]
+    ) -> dict:
+        if changes:
+            backend.apply_cell_changes(changes)
+        return {
+            "full_detects": self._full_detects,
+            "maintained_rounds": 0,
+            "redetect_rows_avoided": 0,
+            "summary_groups_repaired": 0,
+        }
 
 
 class IncrementalRepairStrategy(RepairStrategy):
@@ -124,101 +273,41 @@ class IncrementalRepairStrategy(RepairStrategy):
     name = "incremental"
     requires_incremental = True
 
-    def repair(self, backend) -> RepairOutcome:
-        if not backend.supports_incremental:
-            raise EngineError(
-                f"the {self.name!r} repair strategy needs an incremental-capable "
-                f"backend; {backend.name!r} does not support incremental updates "
-                "(use strategy='greedy')"
-            )
-        self._check_satisfiable()
-
-        # Seeding: bring the maintained violation state up (for a live
-        # INCDETECT state both calls are free; otherwise this is the one
-        # full pass the strategy ever pays).
+    def _seed(self, backend) -> tuple[Relation, ViolationSet]:
+        # Bring the maintained violation state up (for a live INCDETECT
+        # state both calls are free; otherwise this is the one full pass
+        # the strategy ever pays).
         backend.ensure_ready()
         violations = backend.detect()
-        baseline_full_detects = getattr(backend, "full_detect_count", 0)
+        self._baseline_full_detects = backend.full_detect_count
+        return backend.to_relation(), violations
 
-        # The strategy's working mirror of the backend's storage: fixes are
-        # planned (and applied) here, then shipped as deltas — the two stay
-        # in lockstep because the shipped batch *is* the applied batch.
-        mirror = backend.to_relation()
-        group_counts = self._group_counts_hook(backend)
+    def _revalidate(self, backend, mirror: Relation, changes: list[CellChange]) -> ViolationSet:
+        return self._ship(backend, mirror, changes)
 
-        changes: list[CellChange] = []
-        rounds_trace: list[dict] = []
-        maintained_rounds = 0
-        rows_avoided = 0
-        summary_groups = 0
-        converged_rounds: int | None = None
-        for round_number in range(1, self.max_rounds + 1):
-            if violations.is_clean():
-                converged_rounds = round_number - 1
-                break
-            dirty_before = len(violations)
-            plan = self.planner.plan_round(mirror, violations, group_counts=group_counts)
-            if not plan.changes:
-                raise RepairError(
-                    f"incremental repair stalled in round {round_number}: no fix "
-                    f"applies to the {dirty_before} remaining dirty tuples"
-                )
-            tids = sorted({change.tid for change in plan.changes})
-            rows = []
-            for tid in tids:
-                t = mirror.get(tid)
-                assert t is not None  # the planner only rewrites stored tuples
-                rows.append(t.as_dict())
-            # Delta re-validation: delete + reinsert the changed tuples under
-            # their own identifiers; INCDETECT maintains vio(D) touching only
-            # the affected groups.
-            violations = backend.incremental_update(tids, rows, insert_tids=tids)
-            maintained_rounds += 1
-            rows_avoided += backend.count()
-            summary_groups += plan.summary_groups
-            changes.extend(plan.changes)
-            rounds_trace.append(
-                {
-                    "round": round_number,
-                    "dirty": dirty_before,
-                    "mv_fixes": plan.mv_fixes,
-                    "sv_fixes": plan.sv_fixes,
-                    "changes": len(plan.changes),
-                    "summary_groups": plan.summary_groups,
-                }
-            )
-        else:
-            if violations.is_clean():
-                converged_rounds = self.max_rounds
-        if converged_rounds is None:
-            raise RepairError(
-                f"incremental repair did not converge within {self.max_rounds} "
-                f"rounds; {len(violations)} tuples remain dirty"
-            )
+    @staticmethod
+    def _ship(backend, mirror: Relation, changes: list[CellChange]) -> ViolationSet:
+        """Delete + reinsert the changed tuples (mirror values) under their own tids.
 
-        return RepairOutcome(
-            mirror,
-            changes,
-            self.cost_model.cost(changes),
-            rounds=converged_rounds,
-            trace={
-                "strategy": self.name,
-                "full_detects": getattr(backend, "full_detect_count", 0)
-                - baseline_full_detects,
-                "maintained_rounds": maintained_rounds,
-                "redetect_rows_avoided": rows_avoided,
-                "summary_groups_repaired": summary_groups,
-                "rounds": rounds_trace,
-            },
-        )
-
-    def _group_counts_hook(self, backend) -> GroupCountsHook | None:
-        """Election source for multi-tuple fixes (``None`` = count rows locally).
-
-        The sharded strategy overrides this to elect from the coordinator's
-        merged summary store.
+        INCDETECT maintains vio(D) touching only the affected groups; the
+        mirror and the backend stay in lockstep because the shipped rows
+        *are* the planned fixes.
         """
-        return None
+        tids = sorted({change.tid for change in changes})
+        # The planner only rewrites stored tuples, so every tid is in the mirror.
+        rows = [mirror.get(tid).as_dict() for tid in tids]
+        return backend.incremental_update(tids, rows, insert_tids=tids)
+
+    def _finish(
+        self, backend, mirror: Relation, changes: list[CellChange], rounds: list[dict]
+    ) -> dict:
+        return {
+            "full_detects": backend.full_detect_count - self._baseline_full_detects,
+            "maintained_rounds": len(rounds),
+            # Each maintained round spared a full pass over every stored row.
+            "redetect_rows_avoided": len(rounds) * backend.count(),
+            "summary_groups_repaired": sum(entry["summary_groups"] for entry in rounds),
+        }
 
 
 # ----------------------------------------------------------------------

@@ -172,20 +172,25 @@ class TestRepairAndReport:
             assert engine.detect().dirty_count == 0
 
     def test_repair_dry_run_keeps_dirty_state(self, ext_schema, workload):
+        rows = DatasetGenerator(seed=1).generate(300, 5.0)
         with DataQualityEngine(ext_schema, workload, backend="batch") as engine:
-            engine.load(DatasetGenerator(seed=1).generate(300, 5.0))
+            engine.load(rows)
             engine.detect()
+            stored = [(t.tid, t.values()) for t in engine.to_relation().tuples()]
             repair = engine.repair(max_rounds=15, apply=False)
             assert repair.clean  # the planned repair converges ...
+            assert repair.strategy == "greedy"
             assert engine.detect().dirty_count > 0  # ... but the store is untouched
+            assert [(t.tid, t.values()) for t in engine.to_relation().tuples()] == stored
             with pytest.raises(EngineError, match="greedy"):
                 engine.repair(apply=False, strategy="incremental")
-
-    def test_repair_workers_must_match_engine(self, ext_schema, workload):
-        with DataQualityEngine(ext_schema, workload, backend="batch") as engine:
-            engine.load(DatasetGenerator(seed=1).generate(50, 5.0))
-            with pytest.raises(EngineError, match="workers"):
-                engine.repair(workers=4)
+            # The dry run's audit is exactly what the applied repair does.
+            applied = engine.repair(strategy="greedy", max_rounds=15)
+            assert engine.detect().dirty_count == 0
+        assert repair.changes == applied.changes
+        assert repair.cost == applied.cost
+        assert repair.rounds == applied.rounds > 0
+        assert repair.trace == applied.trace
 
     def test_report_summarises_workload_and_detection(self, ext_schema, workload, seeded_rows):
         with DataQualityEngine(ext_schema, workload, backend="batch") as engine:

@@ -5,7 +5,7 @@ from repro.core import ECFDSet, Relation, cust_ext_schema, format_ecfd, parse_ec
 from repro.datagen import DatasetGenerator, UpdateGenerator, paper_workload
 from repro.detection import BatchDetector, ECFDDatabase, IncrementalDetector, NaiveDetector
 from repro.discovery import discover_ecfd
-from repro.repair import GreedyRepairer
+from repro.engine import DataQualityEngine
 
 
 class TestCleaningPipeline:
@@ -26,11 +26,13 @@ class TestCleaningPipeline:
             # The SQL detector and the reference semantics agree.
             assert violations == NaiveDetector(sigma).detect(relation)
 
-        repaired = GreedyRepairer(sigma, max_rounds=12).repair(relation)
-        assert NaiveDetector(sigma).detect(repaired.relation).is_clean()
+        with DataQualityEngine(cust_ext_schema(), sigma, backend="naive") as engine:
+            engine.load(relation)
+            repaired = engine.repair(strategy="greedy", max_rounds=12).relation
+        assert NaiveDetector(sigma).detect(repaired).is_clean()
 
         with ECFDDatabase(cust_ext_schema()) as db:
-            db.load_relation(repaired.relation)
+            db.load_relation(repaired)
             assert BatchDetector(db, sigma).detect().is_clean()
 
     def test_monitoring_pipeline_with_updates(self):

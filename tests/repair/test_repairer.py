@@ -1,13 +1,25 @@
-"""Unit tests for the greedy repair extension (repro.repair)."""
+"""Unit tests for the greedy repair strategy and the cost model (repro.repair)."""
 
 import pytest
 
 from repro.core import ECFD, ECFDSet, Relation
 from repro.datagen import DatasetGenerator, paper_workload
 from repro.detection import NaiveDetector
-from repro.repair import CellChange, GreedyRepairer, RepairCostModel
+from repro.engine.backends import NaiveBackend
+from repro.repair import CellChange, GreedyRepairStrategy, RepairCostModel
 from repro.exceptions import RepairError
 from tests.conftest import FIG1_ROWS
+
+
+def greedy_repair(sigma, relation, **options):
+    """Greedy-repair a copy of ``relation`` held by a naive backend."""
+    backend = NaiveBackend(relation.schema, sigma)
+    backend.load_relation(relation)
+    outcome = GreedyRepairStrategy(sigma, **options).repair(backend)
+    # The fixes were applied in place: the backend serves the repaired data.
+    cells = [(t.tid, t.values()) for t in backend.to_relation().tuples()]
+    assert cells == [(t.tid, t.values()) for t in outcome.relation.tuples()]
+    return outcome
 
 
 class TestCostModel:
@@ -26,10 +38,9 @@ class TestCostModel:
         assert model.cost(changes) == 3.5
 
 
-class TestGreedyRepairer:
+class TestGreedyRepairStrategy:
     def test_repairs_paper_example(self, schema, paper_sigma, d0):
-        repairer = GreedyRepairer(paper_sigma)
-        result = repairer.repair(d0)
+        result = greedy_repair(paper_sigma, d0)
         assert NaiveDetector(paper_sigma).detect(result.relation).is_clean()
         # Only the two dirty tuples (t1 and t4) need to change.
         assert result.changed_tids() <= {1, 4}
@@ -44,7 +55,7 @@ class TestGreedyRepairer:
             {"AC": "999", "PN": "3", "NM": "c", "STR": "s", "CT": "Troy", "ZIP": "1"},
         ]
         relation = Relation(schema, rows)
-        result = GreedyRepairer(paper_sigma).repair(relation)
+        result = greedy_repair(paper_sigma, relation)
         assert NaiveDetector(paper_sigma).detect(result.relation).is_clean()
         # The minority tuple is rewritten to the majority value 518.
         assert result.relation.get(3)["AC"] == "518"
@@ -55,7 +66,7 @@ class TestGreedyRepairer:
             {"AC": "518", "PN": "1", "NM": "a", "STR": "s", "CT": "Albany", "ZIP": "1"},
             {"AC": "212", "PN": "2", "NM": "b", "STR": "s", "CT": "NYC", "ZIP": "2"},
         ]
-        result = GreedyRepairer(paper_sigma).repair(Relation(schema, rows))
+        result = greedy_repair(paper_sigma, Relation(schema, rows))
         assert result.change_count == 0
         assert result.cost == 0.0
 
@@ -70,13 +81,13 @@ class TestGreedyRepairer:
             ],
         )
         with pytest.raises(RepairError):
-            GreedyRepairer([contradiction]).repair(Relation(schema, FIG1_ROWS[:2]))
+            greedy_repair([contradiction], Relation(schema, FIG1_ROWS[:2]))
 
     def test_repair_generated_noisy_dataset(self):
         sigma = paper_workload()
         relation = DatasetGenerator(seed=5).generate(150, noise_percent=6.0)
         assert not NaiveDetector(sigma).detect(relation).is_clean()
-        result = GreedyRepairer(sigma, max_rounds=12).repair(relation)
+        result = greedy_repair(sigma, relation, max_rounds=12)
         assert NaiveDetector(sigma).detect(result.relation).is_clean()
         assert result.change_count > 0
         # The repair touches at most a small multiple of the corrupted tuples.
@@ -84,5 +95,5 @@ class TestGreedyRepairer:
 
     def test_cost_model_is_applied(self, schema, paper_sigma, d0):
         expensive_ac = RepairCostModel(attribute_weights={"AC": 10.0})
-        result = GreedyRepairer(paper_sigma, cost_model=expensive_ac).repair(d0)
+        result = greedy_repair(paper_sigma, d0, cost_model=expensive_ac)
         assert result.cost >= 10.0

@@ -6,7 +6,8 @@ accumulated fixes as a single delete+reinsert delta — but only when the
 ``text_safe_patterns`` gate proves local Python matching coincides with
 the delegate's semantics.  These tests pin the gate, the validator's
 exactness against the reference semantics, the one-round-trip accounting,
-and bit-exact equivalence between batched and per-round shipping.
+and bit-exact equivalence between batched rounds and the incremental
+strategy, which ships every round.
 """
 
 import random
@@ -19,7 +20,6 @@ from repro.core.schema import cust_ext_schema
 from repro.datagen.generator import DatasetGenerator
 from repro.datagen.workload import paper_workload
 from repro.engine import DataQualityEngine
-from repro.parallel.repair import ShardedRepairStrategy
 from repro.repair.cost import CellChange
 from repro.repair.validate import MirrorValidator, text_safe_patterns
 from tests.parallel.test_summary_merge import _random_rows, _random_sigma
@@ -75,15 +75,13 @@ class TestMirrorValidatorExactness:
             )
 
 
-def _repair_sharded(sigma, rows, batch_rounds, workers=3, executor="serial"):
+def _repair(sigma, rows, strategy="sharded", workers=3, executor="serial"):
     engine = DataQualityEngine(
         SCHEMA, sigma, backend="incremental", workers=workers, executor=executor
     )
     try:
         engine.load(rows)
-        strategy = ShardedRepairStrategy(engine.sigma, max_rounds=25,
-                                         batch_rounds=batch_rounds)
-        outcome = strategy.repair(engine.backend)
+        outcome = engine.repair(strategy=strategy, max_rounds=25)
         assert engine.violation_counts()["dirty"] == 0
         cells = {t.tid: t.values() for t in engine.to_relation().tuples()}
         return outcome, cells
@@ -94,7 +92,7 @@ def _repair_sharded(sigma, rows, batch_rounds, workers=3, executor="serial"):
 class TestBatchedRoundShipping:
     def test_multi_round_repair_ships_one_delta(self):
         rows = DatasetGenerator(seed=4).generate_rows(500, 8.0)
-        outcome, _ = _repair_sharded(paper_workload(SCHEMA), rows, batch_rounds=True)
+        outcome, _ = _repair(paper_workload(SCHEMA), rows)
         trace = outcome.trace
         assert trace["full_detects"] == 0
         assert outcome.rounds > 1, "need a multi-round repair to exercise batching"
@@ -103,16 +101,17 @@ class TestBatchedRoundShipping:
         assert len(trace["rounds"]) == trace["maintained_rounds"]
 
     def test_batched_matches_per_round_shipping_bit_for_bit(self):
+        """Sharded batched rounds == the incremental strategy shipping each round."""
         sigma = paper_workload(SCHEMA)
         rows = DatasetGenerator(seed=4).generate_rows(500, 8.0)
-        batched, batched_cells = _repair_sharded(sigma, rows, batch_rounds=True)
-        shipped, shipped_cells = _repair_sharded(sigma, rows, batch_rounds=False)
+        batched, batched_cells = _repair(sigma, rows)
+        shipped, shipped_cells = _repair(sigma, rows, strategy="incremental", workers=1)
+        assert batched.trace["lane_round_trips"] == 1
+        assert shipped.trace["maintained_rounds"] == shipped.rounds > 1
         assert batched_cells == shipped_cells
         assert batched.cost == shipped.cost
-        assert len(batched.changes) == len(shipped.changes)
+        assert batched.cells_changed == shipped.cells_changed
         assert batched.rounds == shipped.rounds
-        # Per-round shipping pays one lane round-trip per round.
-        assert "round_trips_saved" not in shipped.trace
 
     def test_non_text_safe_sigma_falls_back_to_shipped_rounds(self):
         """An integer pattern constant disarms local re-validation."""
@@ -123,15 +122,16 @@ class TestBatchedRoundShipping:
         )
         sigma = ECFDSet(list(paper_workload(SCHEMA)) + [psi])
         rows = DatasetGenerator(seed=6).generate_rows(400, 8.0)
-        outcome, _ = _repair_sharded(sigma, rows, batch_rounds=True)
-        # The fallback is the per-round strategy: no batching trace fields.
+        outcome, _ = _repair(sigma, rows)
+        # The fallback ships every round: no batching trace fields.
         assert "round_trips_saved" not in outcome.trace
+        assert outcome.trace["maintained_rounds"] == outcome.rounds > 0
         assert outcome.trace["full_detects"] == 0
 
     def test_clean_data_ships_nothing(self):
         sigma = paper_workload(SCHEMA)
         rows = DatasetGenerator(seed=2).generate_rows(200, 0.0)
-        outcome, _ = _repair_sharded(sigma, rows, batch_rounds=True)
+        outcome, _ = _repair(sigma, rows)
         assert outcome.rounds == 0
         assert outcome.trace["lane_round_trips"] == 0
         assert outcome.trace["round_trips_saved"] == 0

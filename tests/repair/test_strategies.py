@@ -5,6 +5,7 @@ import pytest
 from repro.core import Relation
 from repro.core.schema import cust_ext_schema
 from repro.datagen import DatasetGenerator, paper_workload
+from repro.detection import NaiveDetector
 from repro.engine import DataQualityEngine
 from repro.engine.backends import create_backend
 from repro.exceptions import (
@@ -91,15 +92,37 @@ class TestApplyCellChanges:
         assert relation.get(tids[0])["CT"] == "c0"  # untouched row intact
         backend.close()
 
-    @pytest.mark.parametrize("backend_name", ("naive", "batch", "incremental"))
+    @pytest.mark.parametrize(
+        "backend_name, workers",
+        (
+            pytest.param("naive", 1, id="naive"),
+            pytest.param("batch", 1, id="batch"),
+            pytest.param("incremental", 1, id="incremental"),
+            pytest.param("incremental", 3, id="sharded"),
+        ),
+    )
     def test_unknown_tid_raises_instead_of_dropping_the_fix(
-        self, workload, backend_name
+        self, workload, noisy_rows, backend_name, workers
     ):
-        backend = create_backend(backend_name, schema=SCHEMA, sigma=workload)
-        backend.load_rows([{a: "x" for a in SCHEMA.attribute_names}])
-        with pytest.raises(ReproError, match="tid=99"):
-            backend.apply_cell_changes([CellChange(99, "CT", "x", "fixed")])
-        backend.close()
+        """A batch with an unknown tid is rejected whole: storage and the
+        detection state (live shard states included) stay as they were."""
+        with DataQualityEngine(
+            SCHEMA, workload, backend=backend_name, workers=workers, executor="serial"
+        ) as engine:
+            engine.load(noisy_rows)
+            engine.detect()
+            stored = [(t.tid, t.values()) for t in engine.to_relation().tuples()]
+            before = engine.to_relation().get(1)["ITEM_TYPE"]
+            with pytest.raises(ReproError, match="tid=1000000"):
+                engine.backend.apply_cell_changes(
+                    [
+                        CellChange(1, "ITEM_TYPE", before, before + "-fixed"),
+                        CellChange(10**6, "CT", "x", "fixed"),
+                    ]
+                )
+            relation = engine.to_relation()
+            assert [(t.tid, t.values()) for t in relation.tuples()] == stored
+            assert engine.detect().violations == NaiveDetector(workload).detect(relation)
 
     @pytest.mark.parametrize("backend_name", ("naive", "batch"))
     def test_detection_state_invalidated_after_in_place_repair(
