@@ -124,10 +124,10 @@ def _match_expression(attribute: str, pattern: PatternValue) -> Expression:
     if isinstance(pattern, Wildcard):
         return TRUE
     if isinstance(pattern, ValueSet):
-        return disjoin([Var(variable_name(attribute, value)) for value in sorted(pattern.values, key=str)])
+        return disjoin([Var(variable_name(attribute, value)) for value in sorted(pattern.values)])
     if isinstance(pattern, ComplementSet):
         return conjoin(
-            [Not(Var(variable_name(attribute, value))) for value in sorted(pattern.values, key=str)]
+            [Not(Var(variable_name(attribute, value))) for value in sorted(pattern.values)]
         )
     raise ConstraintError(f"unknown pattern kind {pattern!r}")
 
@@ -138,10 +138,10 @@ def _no_match_expression(attribute: str, pattern: PatternValue) -> Expression:
         return FALSE
     if isinstance(pattern, ValueSet):
         return conjoin(
-            [Not(Var(variable_name(attribute, value))) for value in sorted(pattern.values, key=str)]
+            [Not(Var(variable_name(attribute, value))) for value in sorted(pattern.values)]
         )
     if isinstance(pattern, ComplementSet):
-        return disjoin([Var(variable_name(attribute, value)) for value in sorted(pattern.values, key=str)])
+        return disjoin([Var(variable_name(attribute, value)) for value in sorted(pattern.values)])
     raise ConstraintError(f"unknown pattern kind {pattern!r}")
 
 

@@ -273,9 +273,7 @@ def _unquote(text: str) -> str:
     return body.replace('\\"', '"').replace("\\\\", "\\")
 
 
-def _quote_if_needed(value: Value) -> str:
-    if isinstance(value, int):
-        return str(value)
+def _quote_if_needed(value: str) -> str:
     if re.fullmatch(r"[A-Za-z0-9_.+-]+", value):
         return value
     escaped = value.replace("\\", "\\\\").replace('"', '\\"')
@@ -323,7 +321,7 @@ def parse_ecfd_set(text: str, schema: RelationSchema) -> list[ECFD]:
 def _format_entry(entry: PatternValue) -> str:
     if isinstance(entry, Wildcard):
         return "_"
-    constants = sorted(entry.constants(), key=str)
+    constants = sorted(entry.constants())
     rendered = "{" + ", ".join(_quote_if_needed(v) for v in constants) + "}"
     if isinstance(entry, ComplementSet):
         return "!" + rendered

@@ -11,6 +11,11 @@ under the conditions above.  CFDs are the special case where every entry is
 either ``'_'`` or a singleton set, and standard FDs are the special case
 where every entry is ``'_'``.
 
+Constants are text, like every stored value: ``ValueSet([212])`` is
+``ValueSet(["212"])``, and a data value matches by its string form, so
+``212`` and ``"212"`` both match it.  This is the comparison the SQL
+encoding makes, so every detector shares one ``≍``.
+
 This module implements the pattern-value hierarchy together with the small
 algebra the rest of the library needs:
 
@@ -61,7 +66,7 @@ class PatternValue(ABC):
     # Introspection
     # ------------------------------------------------------------------
     @abstractmethod
-    def constants(self) -> frozenset[Value]:
+    def constants(self) -> frozenset[str]:
         """The constants syntactically mentioned by the pattern."""
 
     @property
@@ -128,7 +133,7 @@ class Wildcard(PatternValue):
     def matches(self, value: Value) -> bool:
         return True
 
-    def constants(self) -> frozenset[Value]:
+    def constants(self) -> frozenset[str]:
         return frozenset()
 
     def subsumes(self, other: PatternValue) -> bool:
@@ -155,7 +160,9 @@ class Wildcard(PatternValue):
         return "Wildcard()"
 
 
-def _normalise_values(values: Iterable[Value], kind: str) -> frozenset[Value]:
+def _normalise_values(values: Iterable[Value], kind: str) -> frozenset[str]:
+    # Stored values are text, so constants are too: the int 212 and the
+    # string "212" are one constant, matching like the SQL encoding does.
     frozen = frozenset(values)
     if not frozen:
         raise PatternError(f"{kind} pattern must mention at least one constant")
@@ -164,7 +171,7 @@ def _normalise_values(values: Iterable[Value], kind: str) -> frozenset[Value]:
             raise PatternError(
                 f"{kind} pattern values must be strings or integers, got {value!r}"
             )
-    return frozen
+    return frozenset(str(value) for value in frozen)
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,7 @@ class ValueSet(PatternValue):
     ``{212, 718, 646, 347, 917}`` in eCFD ψ2 of Fig. 2.
     """
 
-    values: frozenset[Value]
+    values: frozenset[str]
 
     __slots__ = ("values",)
 
@@ -188,12 +195,12 @@ class ValueSet(PatternValue):
         # __setattr__); reconstruct through the constructor instead, which
         # the process-pool sharded detector relies on to ship constraints
         # to worker processes.
-        return (ValueSet, (sorted(self.values, key=str),))
+        return (ValueSet, (sorted(self.values),))
 
     def matches(self, value: Value) -> bool:
-        return value in self.values
+        return str(value) in self.values
 
-    def constants(self) -> frozenset[Value]:
+    def constants(self) -> frozenset[str]:
         return self.values
 
     def subsumes(self, other: PatternValue) -> bool:
@@ -219,8 +226,8 @@ class ValueSet(PatternValue):
         return any(value in domain for value in self.values)
 
     def pick(self, domain: Domain, avoid: Iterable[Value] = ()) -> Value | None:
-        avoided = set(avoid)
-        in_domain = sorted((v for v in self.values if v in domain), key=str)
+        avoided = {str(value) for value in avoid}
+        in_domain = sorted(v for v in self.values if v in domain)
         if not in_domain:
             return None
         for value in in_domain:
@@ -229,11 +236,11 @@ class ValueSet(PatternValue):
         return in_domain[0]
 
     def to_text(self) -> str:
-        rendered = ", ".join(str(v) for v in sorted(self.values, key=str))
+        rendered = ", ".join(sorted(self.values))
         return "{" + rendered + "}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ValueSet({sorted(self.values, key=str)!r})"
+        return f"ValueSet({sorted(self.values)!r})"
 
 
 @dataclass(frozen=True)
@@ -244,7 +251,7 @@ class ComplementSet(PatternValue):
     eCFD ψ1 of Fig. 2.
     """
 
-    values: frozenset[Value]
+    values: frozenset[str]
 
     __slots__ = ("values",)
 
@@ -253,12 +260,12 @@ class ComplementSet(PatternValue):
 
     def __reduce__(self):
         # See ValueSet.__reduce__: required for pickling across processes.
-        return (ComplementSet, (sorted(self.values, key=str),))
+        return (ComplementSet, (sorted(self.values),))
 
     def matches(self, value: Value) -> bool:
-        return value not in self.values
+        return str(value) not in self.values
 
-    def constants(self) -> frozenset[Value]:
+    def constants(self) -> frozenset[str]:
         return self.values
 
     def subsumes(self, other: PatternValue) -> bool:
@@ -294,11 +301,11 @@ class ComplementSet(PatternValue):
         return domain.fresh_value(exclude=self.values)
 
     def to_text(self) -> str:
-        rendered = ", ".join(str(v) for v in sorted(self.values, key=str))
+        rendered = ", ".join(sorted(self.values))
         return "!{" + rendered + "}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ComplementSet({sorted(self.values, key=str)!r})"
+        return f"ComplementSet({sorted(self.values)!r})"
 
 
 #: Singleton wildcard instance — pattern tuples share it freely.

@@ -38,10 +38,11 @@ __all__ = [
     "cust_ext_schema",
 ]
 
-#: Values stored in relations are plain strings or integers.  The paper's
-#: data is string-typed (city names, zip codes, phone numbers); integers are
-#: accepted for convenience and compared by their string representation when
-#: necessary inside the SQL substrate.
+#: A value handed to the library: a string, or an integer for convenience.
+#: The value model is text.  Pattern constants and finite-domain values are
+#: stored as ``str``, and a value is matched and tested for membership by
+#: its string form, so ``212`` and ``"212"`` are one value everywhere, as in
+#: the SQL substrate, whose engine backends store every cell as text.
 Value = str | int
 
 
@@ -57,16 +58,17 @@ class Domain:
     name:
         A human-readable name, e.g. ``"string"`` or ``"bool"``.
     values:
-        ``None`` for an infinite domain; otherwise the frozen set of
-        admissible values.  A finite domain must contain at least two
-        elements (the paper assumes ``|dom(A)| >= 2``).
+        ``None`` for an infinite domain; otherwise the admissible values,
+        stored as a frozen set of their string forms.  A finite domain must
+        contain at least two elements (the paper assumes ``|dom(A)| >= 2``).
     """
 
     name: str = "string"
-    values: frozenset[Value] | None = None
+    values: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
         if self.values is not None:
+            object.__setattr__(self, "values", frozenset(str(v) for v in self.values))
             if len(self.values) < 2:
                 raise DomainError(
                     f"finite domain {self.name!r} must have at least two values, "
@@ -84,7 +86,7 @@ class Domain:
     def __contains__(self, value: Value) -> bool:
         if self.values is None:
             return isinstance(value, (str, int))
-        return value in self.values
+        return str(value) in self.values
 
     def size(self) -> int | None:
         """Number of values in the domain, or ``None`` if infinite."""
@@ -93,7 +95,7 @@ class Domain:
     # ------------------------------------------------------------------
     # Value construction helpers
     # ------------------------------------------------------------------
-    def fresh_value(self, exclude: Iterable[Value] = ()) -> Value | None:
+    def fresh_value(self, exclude: Iterable[Value] = ()) -> str | None:
         """Return a value of the domain not occurring in ``exclude``.
 
         For an infinite domain a fresh string is synthesised; for a finite
@@ -102,25 +104,24 @@ class Domain:
         "extra value outside the active domain" used in the satisfiability
         and implication constructions of Sections III-IV.
         """
-        excluded = set(exclude)
+        excluded = {str(value) for value in exclude}
         if self.values is None:
             index = 0
-            candidate: Value = "_fresh_0"
+            candidate = "_fresh_0"
             while candidate in excluded:
                 index += 1
                 candidate = f"_fresh_{index}"
             return candidate
-        for value in sorted(self.values, key=str):
+        for value in sorted(self.values):
             if value not in excluded:
                 return value
         return None
 
-    def sample(self, count: int) -> list[Value]:
+    def sample(self, count: int) -> list[str]:
         """Return up to ``count`` deterministic values from the domain."""
         if self.values is None:
             return [f"_v{i}" for i in range(count)]
-        ordered = sorted(self.values, key=str)
-        return ordered[:count]
+        return sorted(self.values)[:count]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.values is None:

@@ -152,18 +152,18 @@ def encode_constraints(sigma: ECFDSet | Sequence[ECFD]) -> ConstraintEncoding:
         for attribute in fragment.lhs:
             entry = pattern.lhs_entry(attribute)
             codes[(attribute, "L")] = _pattern_code(entry)
-            for value in sorted(entry.constants(), key=str):
-                pattern_rows[(attribute, "L")].append((cid, str(value)))
+            for value in sorted(entry.constants()):
+                pattern_rows[(attribute, "L")].append((cid, value))
         for attribute in fragment.rhs:
             entry = pattern.rhs_entry(attribute)
             codes[(attribute, "R")] = _pattern_code(entry)
-            for value in sorted(entry.constants(), key=str):
-                pattern_rows[(attribute, "R")].append((cid, str(value)))
+            for value in sorted(entry.constants()):
+                pattern_rows[(attribute, "R")].append((cid, value))
         for attribute in fragment.pattern_rhs:
             entry = pattern.rhs_entry(attribute)
             codes[(attribute, "R")] = -_pattern_code(entry)
-            for value in sorted(entry.constants(), key=str):
-                pattern_rows[(attribute, "R")].append((cid, str(value)))
+            for value in sorted(entry.constants()):
+                pattern_rows[(attribute, "R")].append((cid, value))
 
         row = [cid]
         for attribute in schema.attribute_names:

@@ -301,9 +301,9 @@ def summary_scan_query(
 
     Selects ``tid`` plus the LHS and RHS projections of every data tuple
     matching the (single-pattern) fragment's LHS pattern — returned as
-    ``(sql, parameters)`` with the pattern constants bound as parameters,
-    stringified exactly like the encoding's constant tables so the match
-    semantics are identical to the encoded ``Q_sv`` / macro probes.  The
+    ``(sql, parameters)`` with the (text) pattern constants bound as
+    parameters, so the match semantics are those of the encoded ``Q_sv`` /
+    macro probes and of :meth:`~repro.core.ecfd.PatternTuple.matches_lhs`.  The
     grouping into ``(cid, xv) → (yv multiset, tids)`` summaries happens on
     the (far smaller) result in Python; the filtering runs inside the
     engine.
@@ -321,13 +321,13 @@ def summary_scan_query(
         entry = pattern.lhs_entry(attribute)
         if entry.is_wildcard:
             continue
-        constants = sorted(entry.constants(), key=str)
+        constants = sorted(entry.constants())
         placeholders = ", ".join(dialect.placeholder for _ in constants)
         negate = "NOT " if isinstance(entry, ComplementSet) else ""
         conditions.append(
             f"{dialect.quote_identifier(attribute)} {negate}IN ({placeholders})"
         )
-        parameters.extend(str(value) for value in constants)
+        parameters.extend(constants)
     columns = ["tid"] + [
         dialect.quote_identifier(a) for a in fragment.lhs + fragment.rhs
     ]

@@ -33,7 +33,7 @@ Wire formats (plain dicts/tuples, picklable across process pools):
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.ecfd import ECFD
 from repro.exceptions import DetectionError
@@ -60,40 +60,6 @@ def _single_pattern(fragment: ECFD) -> ECFD:
             f"fragment; got a tableau of {len(fragment.tableau)} patterns"
         )
     return fragment
-
-
-def _lhs_matcher(
-    fragment: ECFD, text_constants: bool
-) -> Callable[[Mapping[str, str]], bool]:
-    """The LHS-match predicate a summary emission uses for one fragment.
-
-    ``text_constants=False`` is the reference Python semantics
-    (:meth:`PatternTuple.matches_lhs`) — what the naive detector evaluates.
-    ``text_constants=True`` mirrors the SQL encoding instead, which compares
-    *stringified* pattern constants against the text-stored data (an int
-    constant ``212`` matches the stored ``'212'``).  Every emission feeding
-    one coordinator store must use the same delegate's semantics — mixing
-    them leaves ghost witnesses that deltas can never retire.
-    """
-    pattern = _single_pattern(fragment).tableau[0]
-    if not text_constants:
-        return pattern.matches_lhs
-    checks: list[tuple[str, frozenset[str], bool]] = []
-    for attribute in fragment.lhs:
-        entry = pattern.lhs_entry(attribute)
-        if entry.is_wildcard:
-            continue
-        constants = frozenset(str(value) for value in entry.constants())
-        negate = entry.to_text().startswith("!")  # complement set
-        checks.append((attribute, constants, negate))
-
-    def matches(row: Mapping[str, str]) -> bool:
-        for attribute, constants, negate in checks:
-            if (str(row[attribute]) in constants) == negate:
-                return False
-        return True
-
-    return matches
 
 
 def accumulate_group(
@@ -165,7 +131,6 @@ def summary_delta(
     fragments: Sequence[tuple[int, ECFD]],
     deleted: Sequence[tuple[int, Mapping[str, str]]],
     inserted: Sequence[tuple[int, Mapping[str, str]]],
-    text_constants: bool = False,
 ) -> SummaryDelta:
     """The signed summary contribution of one update slice.
 
@@ -173,17 +138,14 @@ def summary_delta(
     tuple's values are needed to know *which* group loses a witness, so the
     caller resolves them before the tuple is dropped from storage.  Cost is
     proportional to the delta, never to the shard: this is what the stateful
-    INCDETECT lanes emit alongside their maintained flags.
-
-    ``text_constants`` selects the LHS-match semantics (see
-    :func:`_lhs_matcher`) and must agree with the semantics the shard's
-    *full* summaries were emitted under: ``True`` for SQL-backed delegates
-    (their pushed-down scan stringifies pattern constants exactly like the
-    encoding tables), ``False`` for the reference Python semantics.
+    INCDETECT lanes emit alongside their maintained flags.  It matches with
+    :meth:`~repro.core.ecfd.PatternTuple.matches_lhs`; pattern constants
+    are text, so that is the match every full summary made, in Python or
+    in a pushed-down SQL scan.
     """
     delta: SummaryDelta = {}
     for cid, fragment in fragments:
-        matches_lhs = _lhs_matcher(fragment, text_constants)
+        matches_lhs = _single_pattern(fragment).tableau[0].matches_lhs
         groups: dict[tuple, tuple[dict, list, list]] = {}
         for sign, pairs in ((-1, deleted), (1, inserted)):
             for tid, row in pairs:

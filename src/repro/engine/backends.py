@@ -50,7 +50,7 @@ from repro.detection.sqlgen import (
     lhs_match_condition,
     rhs_violation_condition,
 )
-from repro.detection.summaries import summarize_rows, summary_delta
+from repro.detection.summaries import summarize_rows
 from repro.exceptions import EngineError, SchemaError, UnknownBackendError
 
 __all__ = [
@@ -264,26 +264,12 @@ class DetectorBackend(ABC):
         materialises the stored relation and matches in Python, which any
         backend supports; the built-in adapters override it with their
         detectors' cheaper paths (bound relation / pushed-down SQL scan).
+        Pattern constants are text, so every path matches like
+        :func:`~repro.detection.summaries.summary_delta`, which emits the
+        update deltas the lanes later fold into the same store.
         """
         relation = self.to_relation()
         return summarize_rows(fragments, ((t.tid, t) for t in relation.tuples()))
-
-    def fd_summary_delta(
-        self,
-        fragments: Sequence[tuple[int, ECFD]],
-        deleted: Sequence[tuple[int, Mapping[str, Value]]],
-        inserted: Sequence[tuple[int, Mapping[str, Value]]],
-    ) -> dict:
-        """The signed group-summary contribution of one update slice.
-
-        Must use the *same* LHS-match semantics as :meth:`fd_group_summary`
-        — the coordinator folds both into one store, and disagreeing
-        emissions leave ghost witnesses that deltas can never retire.  The
-        default (and the in-memory adapters) match with the reference
-        Python semantics; the SQL adapters override with the encoding's
-        stringified-constant semantics.
-        """
-        return summary_delta(fragments, deleted, inserted)
 
     @property
     def database(self) -> ECFDDatabase | None:
@@ -567,17 +553,6 @@ class _SQLBackend(DetectorBackend):
 
     def breakdown(self) -> dict[int, dict[str, int]]:
         return _sql_breakdown(self._database)
-
-    def fd_summary_delta(
-        self,
-        fragments: Sequence[tuple[int, ECFD]],
-        deleted: Sequence[tuple[int, Mapping[str, Value]]],
-        inserted: Sequence[tuple[int, Mapping[str, Value]]],
-    ) -> dict:
-        # Mirror the encoding's semantics: pattern constants are compared
-        # as text (an int constant 212 matches the stored '212'), exactly
-        # like the pushed-down fd_group_summary scan that seeded the store.
-        return summary_delta(fragments, deleted, inserted, text_constants=True)
 
     def close(self) -> None:
         self._database.close()

@@ -22,29 +22,27 @@ detection path already built instead of bypassing them:
   no shard ever replicates rows to the coordinator for the vote.  The
   elected values then travel back to the owning shards inside the routed
   delta;
-* **rounds are batched into one routed delta**: when Python and SQL pattern
-  matching provably coincide for Σ (:func:`~repro.repair.validate.text_safe_patterns`
-  — every pattern constant a string, values stored as text), the strategy
-  re-validates each round locally on a
-  :class:`~repro.repair.validate.MirrorValidator`, which maintains the
-  exact flags of the coordinator's mirror, and ships the accumulated fixes
-  as a **single** delete+reinsert delta once the loop has converged.  A
-  k-round repair then costs one lane round-trip instead of k; the trace
-  reports ``lane_round_trips`` and ``round_trips_saved``.  Round 1 still
+* **rounds are batched into one routed delta**: the strategy re-validates
+  each round locally on a :class:`~repro.repair.validate.MirrorValidator`,
+  which maintains the exact flags of the coordinator's mirror, and ships
+  the accumulated fixes as a **single** delete+reinsert delta once the loop
+  has converged.  Local re-validation is exact for every Σ because pattern
+  constants are text: the validator's Python matching is the SQL
+  encoding's.  A k-round repair costs one lane round-trip instead of k; the
+  trace reports ``lane_round_trips`` and ``round_trips_saved``.  Round 1
   elects cross-shard groups from the merged summary store (it describes
   exactly the start state); later rounds elect from the mirror's own rows,
   which the shared planner guarantees gives bit-identical elections for the
-  same state.  When the semantics gate fails the strategy ships every round,
-  like the incremental strategy.  Batching stays sharded-only: a shipped
-  round is cheap on a plain incremental backend, and only here does each
-  one cost a lane round-trip.
+  same state.  Batching stays sharded-only: a shipped round is cheap on a
+  plain incremental backend, and only here does each one cost a lane
+  round-trip.
 
 Because the summary store is only advanced by shipped deltas, its multisets
-describe exactly the start-of-round state the shared
-:class:`~repro.repair.fixes.FixPlanner` plans multi-tuple fixes against —
-summary-elected and row-counted elections agree bit-for-bit, which is what
-makes sharded repair produce the identical clean relation (and identical
-cell-change audit) as the single-threaded greedy baseline, batched or not.
+describe exactly the start state the shared
+:class:`~repro.repair.fixes.FixPlanner` plans round 1's multi-tuple fixes
+against — summary-elected and row-counted elections agree bit-for-bit,
+which is what makes sharded repair produce the identical clean relation
+(and identical cell-change audit) as the single-threaded greedy baseline.
 The round loop itself is :meth:`~repro.repair.strategies.RepairStrategy.repair`;
 this module supplies only the sharded election, re-validation and shipping.
 
@@ -62,7 +60,7 @@ from repro.parallel.sharded import ShardedBackend
 from repro.repair.cost import CellChange
 from repro.repair.fixes import GroupCountsHook
 from repro.repair.strategies import IncrementalRepairStrategy, register_strategy
-from repro.repair.validate import MirrorValidator, text_safe_patterns
+from repro.repair.validate import MirrorValidator
 
 __all__ = ["ShardedRepairStrategy"]
 
@@ -70,9 +68,8 @@ __all__ = ["ShardedRepairStrategy"]
 class ShardedRepairStrategy(IncrementalRepairStrategy):
     """Routed, summary-elected repair over the sharded detection backend.
 
-    Rounds are re-validated locally and shipped as one routed delta when
-    local re-validation is provably exact for Σ (see the module docstring);
-    otherwise every round ships, like the incremental strategy.
+    Rounds are re-validated locally and shipped as one routed delta (see
+    the module docstring).
     """
 
     name = "sharded"
@@ -92,37 +89,29 @@ class ShardedRepairStrategy(IncrementalRepairStrategy):
         self._summary_counts = self._group_counts_hook(backend)
         # Batched rounds snapshot the start state and maintain the mirror's
         # exact flags as the planner writes each round's fixes into it.
-        self._validator = (
-            MirrorValidator(self.sigma, mirror) if text_safe_patterns(self.sigma) else None
-        )
+        self._validator = MirrorValidator(self.sigma, mirror)
         return mirror, violations
 
     def _election(self, round_number: int) -> GroupCountsHook | None:
-        # A batched repair elects from the summary store in round 1 only: the
-        # store describes the last *shipped* state, which later (unshipped)
-        # rounds have already moved past.  Row-counted elections over the
-        # mirror are bit-identical for the same state, so nothing diverges.
-        if self._validator is not None and round_number > 1:
-            return None
-        return self._summary_counts
+        # Elect from the summary store in round 1 only: the store describes
+        # the last *shipped* state, which later (unshipped) rounds have
+        # already moved past.  Row-counted elections over the mirror are
+        # bit-identical for the same state, so nothing diverges.
+        return self._summary_counts if round_number == 1 else None
 
     def _revalidate(self, backend, mirror: Relation, changes: list[CellChange]) -> ViolationSet:
-        if self._validator is None:
-            return super()._revalidate(backend, mirror, changes)
         return self._validator.apply_changes(changes)
 
     def _finish(
         self, backend, mirror: Relation, changes: list[CellChange], rounds: list[dict]
     ) -> dict:
-        if self._validator is None:
-            return super()._finish(backend, mirror, changes, rounds)
         # One routed delta carries every round's fixes (final mirror values).
         lane_round_trips = 0
         if changes:
             shipped = self._ship(backend, mirror, changes)
             lane_round_trips = 1
             if not shipped.is_clean():
-                # The semantics gate should make this unreachable; a dirty
+                # One match relation makes this unreachable; a dirty
                 # readback means local re-validation diverged from the
                 # delegate, and silently returning would break the clean
                 # guarantee every strategy carries.

@@ -82,9 +82,11 @@ The maintained protocol:
 3. each touched shard applies its slice of ΔD with INCDETECT (shard-local
    ``delete_tuples`` / ``insert_tuples`` with pinned global tids), whose
    violation readback is itself a *flag delta*, and emits the slice's
-   **summary delta** (the delegate's ``fd_summary_delta`` hook, with the
-   same matching semantics as its bootstrap summary) — signed yv-count and
-   witness changes, bounded by |ΔD|;
+   **summary delta** (:func:`repro.detection.summaries.summary_delta`) —
+   signed yv-count and witness changes, bounded by |ΔD|.  Pattern
+   constants are text, so its Python LHS match is the one the bootstrap
+   summary used, whether the delegate scanned in Python or pushed the scan
+   into SQL;
 4. the coordinator swaps the touched shards' flag contributions into its
    per-shard violation cache, folds the summary deltas into the summary
    store, and re-merges — an exact replacement merge, so the result is
@@ -126,7 +128,7 @@ from repro.core.ecfd import ECFD, ECFDSet
 from repro.core.instance import Relation
 from repro.core.schema import RelationSchema, Value
 from repro.core.violations import MultiTupleViolation, SingleTupleViolation, ViolationSet
-from repro.detection.summaries import Summary, SummaryDelta, merge_summaries
+from repro.detection.summaries import Summary, SummaryDelta, merge_summaries, summary_delta
 from repro.engine.backends import (
     DetectorBackend,
     InMemoryRelationBackend,
@@ -300,14 +302,7 @@ def _shard_update(
     """
     key, delete_pairs, insert_pairs = task
     state = _SHARD_STATES[key]
-    delta: SummaryDelta = {}
-    if state.summary_fragments:
-        # Emitted by the backend so the LHS-match semantics are the same
-        # ones its full bootstrap summary used (Python matching for
-        # in-memory delegates, stringified constants for SQL delegates).
-        delta = state.backend.fd_summary_delta(
-            state.summary_fragments, delete_pairs, insert_pairs
-        )
+    delta = summary_delta(state.summary_fragments, delete_pairs, insert_pairs)
     violations = state.backend.incremental_update(
         [tid for tid, _ in delete_pairs],
         [row for _, row in insert_pairs],

@@ -17,13 +17,11 @@ Exactness has two halves:
   values — the reference semantics of
   :meth:`repro.core.ecfd.ECFD.violations`.  SV flags are re-derived for
   exactly the changed tuples;
-* **against the backend** the validator matches patterns with the reference
-  Python semantics, while SQL-backed delegates compare pattern constants as
-  text (an ``int`` constant ``212`` matches the stored ``'212'`` in SQL but
-  not in Python).  Both agree whenever every pattern constant is a string —
-  all stored values are text — which :func:`text_safe_patterns` decides.
-  Batched repair only engages when it holds, so the locally planned rounds
-  are bit-identical to rounds planned against shipped backend flags.
+* **against the backend** it is exact because there is one match
+  relation: pattern constants are text (:mod:`repro.core.patterns`), so
+  the Python matching here agrees with the SQL encoding on the text-stored
+  data for every Σ.  Locally planned rounds are therefore bit-identical to
+  rounds planned against shipped backend flags.
 """
 
 from __future__ import annotations
@@ -34,25 +32,7 @@ from repro.core.ecfd import ECFD, ECFDSet
 from repro.core.instance import Relation
 from repro.core.violations import ViolationSet
 
-__all__ = ["MirrorValidator", "text_safe_patterns"]
-
-
-def text_safe_patterns(sigma: ECFDSet | Sequence[ECFD]) -> bool:
-    """Whether Python and SQL pattern matching coincide for ``sigma``.
-
-    True iff every constant in every tableau entry is a string: stored
-    values are always text, so string constants compare identically under
-    the reference Python semantics and the SQL encoding's text comparison.
-    A non-string constant (e.g. an ``int`` area code) matches in SQL but
-    not in Python — local re-validation could then diverge from an
-    SQL-backed delegate, so callers must fall back to shipped rounds.
-    """
-    for ecfd in sigma:
-        for pattern in ecfd.tableau:
-            for entry in list(pattern.lhs.values()) + list(pattern.rhs.values()):
-                if any(not isinstance(c, str) for c in entry.constants()):
-                    return False
-    return True
+__all__ = ["MirrorValidator"]
 
 
 class _FDIndex:

@@ -56,9 +56,10 @@ def register_figure(name: str, group: str, title: str) -> Callable[[Generator], 
 def _ensure_loaded() -> None:
     # The built-in generators live in repro.reports.figures and register
     # themselves on import; defer the import so registry and generators
-    # can reference each other without a cycle.
-    if not _REGISTRY:
-        from repro.reports import figures  # noqa: F401, PLC0415
+    # can reference each other without a cycle.  Import on every lookup (a
+    # no-op once loaded): a figure registered before the first lookup must
+    # not hide the built-ins.
+    from repro.reports import figures  # noqa: F401, PLC0415
 
 
 def available_figures() -> dict[str, FigureSpec]:

@@ -22,17 +22,36 @@ class TestMatching:
         assert WILDCARD.matches(42)
         assert WILDCARD.matches("")
 
-    def test_value_set_matches_members_only(self):
-        pattern = ValueSet(["Albany", "Troy"])
-        assert pattern.matches("Albany")
-        assert pattern.matches("Troy")
-        assert not pattern.matches("NYC")
+    @pytest.mark.parametrize(
+        ("members", "hits", "misses"),
+        [
+            (["Albany", "Troy"], ["Albany", "Troy"], ["NYC"]),
+            # Constants are text: an int constant and its string are one value.
+            ([212, "718"], [212, "212", 718, "718"], [917, "0212"]),
+        ],
+        ids=["str", "int"],
+    )
+    def test_value_set_matches_members_only(self, members, hits, misses):
+        pattern = ValueSet(members)
+        for value in hits:
+            assert pattern.matches(value)
+        for value in misses:
+            assert not pattern.matches(value)
 
-    def test_complement_set_matches_non_members(self):
-        pattern = ComplementSet(["NYC", "LI"])
-        assert pattern.matches("Albany")
-        assert not pattern.matches("NYC")
-        assert not pattern.matches("LI")
+    @pytest.mark.parametrize(
+        ("members", "hits", "misses"),
+        [
+            (["NYC", "LI"], ["Albany"], ["NYC", "LI"]),
+            ([212, "718"], [917, "0212"], [212, "212", 718, "718"]),
+        ],
+        ids=["str", "int"],
+    )
+    def test_complement_set_matches_non_members(self, members, hits, misses):
+        pattern = ComplementSet(members)
+        for value in hits:
+            assert pattern.matches(value)
+        for value in misses:
+            assert not pattern.matches(value)
 
     def test_paper_example_t1_t4(self):
         """t1[CT]=Albany matches {NYC,LI}̄ ; t4[CT]=NYC does not (Section II)."""
@@ -52,16 +71,19 @@ class TestConstruction:
         with pytest.raises(PatternError):
             ValueSet([("tuple",)])
 
-    def test_constant_is_singleton_set(self):
-        pattern = constant("518")
+    @pytest.mark.parametrize("value", ["518", 518], ids=["str", "int"])
+    def test_constant_is_singleton_set(self, value):
+        pattern = constant(value)
         assert isinstance(pattern, ValueSet)
         assert pattern.constants() == frozenset({"518"})
+        assert pattern == ValueSet(["518"])
 
     def test_pattern_from_literal(self):
         assert isinstance(pattern_from_literal("_"), Wildcard)
         assert isinstance(pattern_from_literal(None), Wildcard)
         assert pattern_from_literal("NYC") == constant("NYC")
         assert pattern_from_literal({"a", "b"}) == ValueSet(["a", "b"])
+        assert pattern_from_literal([212, "718"]) == ValueSet(["212", "718"])
         assert pattern_from_literal(ValueSet(["x"])) == ValueSet(["x"])
         with pytest.raises(PatternError):
             pattern_from_literal(3.14)
@@ -72,6 +94,8 @@ class TestConstants:
         assert WILDCARD.constants() == frozenset()
         assert ValueSet(["a", "b"]).constants() == frozenset({"a", "b"})
         assert ComplementSet(["a"]).constants() == frozenset({"a"})
+        assert ValueSet([212]) == ValueSet(["212"])
+        assert ComplementSet([212, "a"]).constants() == frozenset({"212", "a"})
 
 
 class TestSubsumption:
@@ -137,12 +161,18 @@ class TestAdmitsAndPick:
         assert ValueSet(["x"]).admits(domain)
         assert ComplementSet(["x"]).admits(domain)
 
-    def test_admits_finite_domain(self):
-        domain = Domain("bool", frozenset(["T", "F"]))
-        assert ValueSet(["T"]).admits(domain)
-        assert not ValueSet(["Z"]).admits(domain)
-        assert ComplementSet(["T"]).admits(domain)
-        assert not ComplementSet(["T", "F"]).admits(domain)
+    @pytest.mark.parametrize(
+        ("values", "outside"),
+        [(["T", "F"], "Z"), ([1, 0], 2), ([1, 0], "2")],
+        ids=["str", "int", "int-domain-str-outside"],
+    )
+    def test_admits_finite_domain(self, values, outside):
+        domain = Domain("bool", frozenset(values))
+        assert ValueSet(values[:1]).admits(domain)
+        assert ValueSet([str(values[0])]).admits(domain)
+        assert not ValueSet([outside]).admits(domain)
+        assert ComplementSet(values[:1]).admits(domain)
+        assert not ComplementSet(values).admits(domain)
 
     def test_pick_returns_matching_value(self):
         domain = Domain("string")
@@ -151,18 +181,29 @@ class TestAdmitsAndPick:
             assert value is not None
             assert pattern.matches(value)
 
-    def test_pick_respects_avoid_when_possible(self):
-        domain = Domain("string")
-        value = ValueSet(["a", "b"]).pick(domain, avoid=["a"])
-        assert value == "b"
+    @pytest.mark.parametrize(
+        ("domain", "members", "picked"),
+        [
+            (Domain("string"), ["a", "b"], {"a", "b"}),
+            (Domain("bit", frozenset([0, 1])), [0, 1], {"0", "1"}),
+        ],
+        ids=["str", "int"],
+    )
+    def test_pick_respects_avoid_when_possible(self, domain, members, picked):
+        value = ValueSet(members).pick(domain, avoid=members[:1])
+        assert value == sorted(picked)[1]
         # When everything is avoided the pattern still yields some member.
-        value = ValueSet(["a", "b"]).pick(domain, avoid=["a", "b"])
-        assert value in {"a", "b"}
+        value = ValueSet(members).pick(domain, avoid=members)
+        assert value in picked
 
-    def test_pick_on_exhausted_finite_domain(self):
-        domain = Domain("bool", frozenset(["T", "F"]))
-        assert ComplementSet(["T", "F"]).pick(domain) is None
-        assert ValueSet(["Z"]).pick(domain) is None
+    @pytest.mark.parametrize(
+        ("values", "outside"), [(["T", "F"], "Z"), ([0, 1], 2)], ids=["str", "int"]
+    )
+    def test_pick_on_exhausted_finite_domain(self, values, outside):
+        domain = Domain("bool", frozenset(values))
+        assert ComplementSet(values).pick(domain) is None
+        assert ValueSet([outside]).pick(domain) is None
+        assert ComplementSet(values[:1]).pick(domain) == str(values[1])
 
 
 class TestText:

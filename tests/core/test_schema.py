@@ -20,11 +20,20 @@ class TestDomain:
         assert not domain.is_finite
         assert domain.size() is None
 
-    def test_finite_domain_membership(self):
-        domain = Domain("bool", frozenset(["T", "F"]))
-        assert "T" in domain
-        assert "F" in domain
-        assert "maybe" not in domain
+    @pytest.mark.parametrize(
+        ("values", "members", "outside"),
+        [
+            (["T", "F"], ["T", "F"], "maybe"),
+            # Values are text: a domain built from ints holds their strings.
+            ([0, 1], [0, "0", 1, "1"], 2),
+        ],
+        ids=["str", "int"],
+    )
+    def test_finite_domain_membership(self, values, members, outside):
+        domain = Domain("bool", frozenset(values))
+        for value in members:
+            assert value in domain
+        assert outside not in domain
         assert domain.is_finite
         assert domain.size() == 2
 
@@ -38,10 +47,12 @@ class TestDomain:
         assert fresh not in {"_fresh_0", "_fresh_1"}
         assert fresh in domain
 
-    def test_fresh_value_finite_domain_exhausted(self):
-        domain = Domain("bool", frozenset(["T", "F"]))
-        assert domain.fresh_value(exclude=["T", "F"]) is None
-        assert domain.fresh_value(exclude=["T"]) == "F"
+    @pytest.mark.parametrize(("first", "second"), [("F", "T"), (0, 1)], ids=["str", "int"])
+    def test_fresh_value_finite_domain_exhausted(self, first, second):
+        domain = Domain("bool", frozenset([first, second]))
+        assert domain.fresh_value(exclude=[first, second]) is None
+        assert domain.fresh_value(exclude=[first]) == str(second)
+        assert domain.fresh_value(exclude=[str(first)]) == str(second)
 
     def test_sample_deterministic(self):
         domain = Domain("abc", frozenset(["c", "a", "b"]))

@@ -2,12 +2,11 @@
 
 The sharded strategy plans all its rounds against the coordinator's mirror
 (``MirrorValidator`` maintaining exact flags between rounds) and ships the
-accumulated fixes as a single delete+reinsert delta — but only when the
-``text_safe_patterns`` gate proves local Python matching coincides with
-the delegate's semantics.  These tests pin the gate, the validator's
-exactness against the reference semantics, the one-round-trip accounting,
-and bit-exact equivalence between batched rounds and the incremental
-strategy, which ships every round.
+accumulated fixes as a single delete+reinsert delta.  Pattern constants
+are text, so local Python matching is the delegate's for every Σ.  These
+tests pin the validator's exactness against the reference semantics, the
+one-round-trip accounting, and bit-exact equivalence between batched
+rounds and the incremental strategy, which ships every round.
 """
 
 import random
@@ -21,25 +20,10 @@ from repro.datagen.generator import DatasetGenerator
 from repro.datagen.workload import paper_workload
 from repro.engine import DataQualityEngine
 from repro.repair.cost import CellChange
-from repro.repair.validate import MirrorValidator, text_safe_patterns
+from repro.repair.validate import MirrorValidator
 from tests.parallel.test_summary_merge import _random_rows, _random_sigma
 
 SCHEMA = cust_ext_schema()
-
-
-class TestTextSafePatterns:
-    def test_paper_workload_is_text_safe(self):
-        assert text_safe_patterns(paper_workload(SCHEMA))
-
-    def test_integer_constant_fails_the_gate(self):
-        psi = ECFD(SCHEMA, ["CT"], ["AC"], tableau=[({"CT": "NYC"}, {"AC": 212})])
-        assert not text_safe_patterns(ECFDSet([psi]))
-        mixed = ECFDSet(list(paper_workload(SCHEMA)) + [psi])
-        assert not text_safe_patterns(mixed)
-
-    def test_wildcards_and_empty_tableaus_are_safe(self):
-        psi = ECFD(SCHEMA, lhs=[], rhs=["CT"], tableau=[({}, {"CT": "_"})])
-        assert text_safe_patterns(ECFDSet([psi]))
 
 
 class TestMirrorValidatorExactness:
@@ -113,8 +97,8 @@ class TestBatchedRoundShipping:
         assert batched.cells_changed == shipped.cells_changed
         assert batched.rounds == shipped.rounds
 
-    def test_non_text_safe_sigma_falls_back_to_shipped_rounds(self):
-        """An integer pattern constant disarms local re-validation."""
+    def test_int_constant_sigma_batches_and_matches_per_round_shipping(self):
+        """An integer pattern constant is text like any other: rounds still batch."""
         psi = ECFD(
             SCHEMA, ["CT"], [], ["ZIP"],
             tableau=[({"CT": "Chicago"}, {"ZIP": 60601})],
@@ -122,11 +106,14 @@ class TestBatchedRoundShipping:
         )
         sigma = ECFDSet(list(paper_workload(SCHEMA)) + [psi])
         rows = DatasetGenerator(seed=6).generate_rows(400, 8.0)
-        outcome, _ = _repair(sigma, rows)
-        # The fallback ships every round: no batching trace fields.
-        assert "round_trips_saved" not in outcome.trace
-        assert outcome.trace["maintained_rounds"] == outcome.rounds > 0
-        assert outcome.trace["full_detects"] == 0
+        batched, batched_cells = _repair(sigma, rows)
+        shipped, shipped_cells = _repair(sigma, rows, strategy="incremental", workers=1)
+        assert batched.rounds > 0
+        assert batched.trace["lane_round_trips"] == 1
+        assert batched.trace["full_detects"] == 0
+        assert batched_cells == shipped_cells
+        assert batched.cost == shipped.cost
+        assert batched.rounds == shipped.rounds
 
     def test_clean_data_ships_nothing(self):
         sigma = paper_workload(SCHEMA)

@@ -1,7 +1,10 @@
 """The figure registry: resolution, grouping and ``--only`` selection."""
 
+import sys
+
 import pytest
 
+import repro.reports
 from repro.reports import (
     UnknownFigureError,
     available_figures,
@@ -9,6 +12,7 @@ from repro.reports import (
     resolve_figure,
     select_figures,
 )
+from repro.reports import registry
 from repro.reports.registry import register_figure
 
 
@@ -63,3 +67,14 @@ def test_duplicate_registration_is_an_error():
     available_figures()  # make sure the built-ins are registered
     with pytest.raises(ValueError):
         register_figure("fig8", "growth", "duplicate")(lambda ctx: [])
+
+
+def test_registration_before_first_lookup_keeps_the_builtins(monkeypatch):
+    # Simulate a fresh process: empty registry, built-in figures not imported.
+    monkeypatch.setattr(registry, "_REGISTRY", {})
+    monkeypatch.delitem(sys.modules, "repro.reports.figures", raising=False)
+    monkeypatch.delattr(repro.reports, "figures", raising=False)
+    register_figure("custom", "growth", "a user figure")(lambda ctx: [])
+    figures = available_figures()
+    assert "custom" in figures
+    assert {"fig5a", "fig8", "perf-trajectory"} <= set(figures)
